@@ -54,3 +54,4 @@ pcc_micro(micro_pcc)
 pcc_micro(micro_tlb)
 pcc_micro(micro_buddy)
 pcc_micro(micro_walker)
+pcc_micro(micro_cache)

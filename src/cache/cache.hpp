@@ -11,18 +11,32 @@
  * pages, not frames, on the hot path, and physical layout does not
  * change any conclusion the paper draws.
  *
- * Storage is structure-of-arrays: tags and LRU stamps live in separate
- * contiguous arrays, so the dominant cost — the per-set tag scan — only
- * touches tag cache lines (one 64B line covers an 8-way set) and can
- * optionally run through the SIMD kernel in util/tagscan.hpp. The
- * hierarchy's miss path uses the fused probe-or-insert access(): one
- * set scan resolves hit way, first empty way, and LRU victim together,
- * where the old lookup()-then-insert() pair scanned every set twice.
+ * Replacement is exact true LRU kept as per-way u8 recency ranks: in
+ * each set, rank 0 is the most recently used way and rank ways-1 the
+ * least recently used, so the ranks of a set are always a permutation
+ * of [0, ways). Touching the way at rank `a` (a hit, or the fill of
+ * the rank ways-1 victim) adds one to every rank below `a` and sets
+ * the touched way's rank to 0. Ranks start, and restart after
+ * flushAll(), at rank[w] = ways-1-w: empty ways are then always older
+ * than filled ones and fill in index order, which is exactly the
+ * "first empty way, else the true-LRU way" rule.
+ *
+ * The rank update has no serial dependency between ways, so with SSE2
+ * (the x86-64 baseline) the common geometries, 8 and 16 ways, run a
+ * whole set as one register operation: the ranks sit in one SSE2
+ * register, updated by byte-wise compares, and the u64 tags are
+ * compared two per instruction (util::findTagSse2). Every other way
+ * count, up to kMaxWays, and every build without SSE2 run a plain
+ * loop.
  */
 
 #pragma once
 
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/log.hpp"
 #include "util/tagscan.hpp"
@@ -48,24 +62,17 @@ struct CacheParams
 class Cache
 {
   public:
-    /**
-     * @param mru_hint Probe the per-set MRU way before the full scan.
-     *        Pays off where consecutive probes re-touch one line (L1
-     *        sees every access, so streaming code hits its hint
-     *        constantly); inner levels only see L1 *misses*, where the
-     *        hint rarely matches and its data-dependent branch costs a
-     *        mispredict per probe. Results are identical either way —
-     *        the hint path performs the same stamp update the scan
-     *        would.
-     */
-    explicit Cache(CacheParams params, bool mru_hint = true)
-        : params_(params), mru_hint_(mru_hint),
+    /** Largest way count a u8 rank can order. */
+    static constexpr u32 kMaxWays = 256;
+
+    explicit Cache(CacheParams params)
+        : params_(params),
           sets_(params.sets() == 0 ? 1 : params.sets()),
           tags_(sets_ * params.ways, kInvalidTag),
-          stamps_(sets_ * params.ways, 0),
-          mru_(sets_, 0)
+          ranks_(sets_ * params.ways)
     {
-        PCCSIM_ASSERT(params.line_bytes > 0 && params.ways > 0);
+        PCCSIM_ASSERT(params.line_bytes > 0 && params.ways > 0 &&
+                      params.ways <= kMaxWays);
         line_shift_ = 0;
         while ((1u << line_shift_) < params.line_bytes)
             ++line_shift_;
@@ -73,40 +80,12 @@ class Cache
         // mask instead of a 64-bit division is a large win on the
         // per-access hot path. Odd set counts fall back to modulo.
         set_mask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
-    }
-
-    /** Probe and update LRU; true on hit. */
-    bool
-    lookup(Addr addr)
-    {
-        const u64 tag = addr >> line_shift_;
-        PCCSIM_DCHECK(tag != kInvalidTag);
-        const u64 set_index = setIndexOf(tag);
-        u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        // MRU-way fast check: the timing model's dominant cost is this
-        // scan, and most hits land on the last way touched. A stale
-        // hint (after eviction) just fails the compare and falls
-        // through; the stamp update is the same one the scan performs,
-        // so the fast path is bit-identical to the slow one.
-        u32 &mru = mru_[set_index];
-        if (mru_hint_ && tags[mru] == tag) {
-            stamps[mru] = ++clock_;
-            return true;
-        }
-        const int w = util::findTag(tags, params_.ways, tag);
-        if (w < 0)
-            return false;
-        stamps[w] = ++clock_;
-        mru = static_cast<u32>(w);
-        return true;
+        resetRanks();
     }
 
     /**
-     * Fused probe-or-insert: equivalent to `lookup(addr)` followed on
-     * miss by `insert(addr)` — same hit outcome, same victim choice,
-     * same stamp/clock sequence, same MRU hint — in one set scan.
-     * Returns true on hit.
+     * Probe the line holding addr and update LRU; on a miss, fill it
+     * over the first empty way, else the LRU way. Returns true on hit.
      */
     bool
     access(Addr addr)
@@ -115,55 +94,20 @@ class Cache
         PCCSIM_DCHECK(tag != kInvalidTag);
         const u64 set_index = setIndexOf(tag);
         u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        u32 &mru = mru_[set_index];
-        if (mru_hint_ && tags[mru] == tag) {
-            stamps[mru] = ++clock_;
-            return true;
+        u8 *ranks = &ranks_[set_index * params_.ways];
+#if defined(__SSE2__)
+        // The way count is a per-structure constant, so this switch
+        // predicts perfectly.
+        switch (params_.ways) {
+          case 8:
+            return accessPacked<8>(tags, ranks, tag);
+          case 16:
+            return accessPacked<16>(tags, ranks, tag);
+          default:
+            break;
         }
-        const auto scan =
-            util::scanSet(tags, stamps, params_.ways, tag);
-        if (scan.hit_way >= 0) {
-            stamps[scan.hit_way] = ++clock_;
-            mru = static_cast<u32>(scan.hit_way);
-            return true;
-        }
-        // Victim: first empty way, else true LRU — both cases are the
-        // earliest-minimum stamp (empties hold stamp 0, filled ways
-        // unique stamps >= 1), so one branch-free scan covers them.
-        tags[scan.victim] = tag;
-        stamps[scan.victim] = ++clock_;
-        mru = scan.victim;
-        return false;
-    }
-
-    /** Fill the line containing addr, evicting LRU. */
-    void
-    insert(Addr addr)
-    {
-        const u64 tag = addr >> line_shift_;
-        const u64 set_index = setIndexOf(tag);
-        u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        u32 victim = 0;
-        u64 oldest = ~0ull;
-        for (u32 w = 0; w < params_.ways; ++w) {
-            if (tags[w] == kInvalidTag) {
-                victim = w;
-                break;
-            }
-            if (tags[w] == tag) {
-                stamps[w] = ++clock_;
-                return;
-            }
-            if (stamps[w] < oldest) {
-                oldest = stamps[w];
-                victim = w;
-            }
-        }
-        tags[victim] = tag;
-        stamps[victim] = ++clock_;
-        mru_[set_index] = victim;
+#endif
+        return accessAny(tags, ranks, params_.ways, tag);
     }
 
     void
@@ -171,8 +115,7 @@ class Cache
     {
         for (auto &tag : tags_)
             tag = kInvalidTag;
-        for (auto &stamp : stamps_)
-            stamp = 0;
+        resetRanks();
     }
 
     const CacheParams &params() const { return params_; }
@@ -192,13 +135,70 @@ class Cache
         return set_mask_ ? (tag & set_mask_) : (tag % sets_);
     }
 
+    void
+    resetRanks()
+    {
+        const u32 ways = params_.ways;
+        for (u64 i = 0; i < ranks_.size(); ++i)
+            ranks_[i] = static_cast<u8>(ways - 1 - i % ways);
+    }
+
+    // Each kernel reads the rank `a` of the way to touch (the hit way,
+    // else rank ways-1: the LRU victim), finds that way as the one
+    // holding rank `a`, stores the tag there (a no-op on a hit, so no
+    // branch) and applies the rank update.
+
+#if defined(__SSE2__)
+    /** 8 or 16 ways: the set's ranks update as one SSE2 register. */
+    template <u32 Ways>
+    static bool
+    accessPacked(u64 *tags, u8 *ranks, u64 tag)
+    {
+        const int hit = util::findTagSse2<Ways>(tags, tag);
+        const u8 rank = hit >= 0 ? ranks[hit] : Ways - 1;
+        const auto *src = reinterpret_cast<const __m128i *>(ranks);
+        __m128i packed =
+            Ways == 8 ? _mm_loadl_epi64(src) : _mm_loadu_si128(src);
+        const __m128i probe = _mm_set1_epi8(static_cast<char>(rank));
+        const __m128i same = _mm_cmpeq_epi8(packed, probe);
+        tags[__builtin_ctz(static_cast<u32>(_mm_movemask_epi8(same)))] =
+            tag;
+        // The signed compare yields -1 in each byte below the probe
+        // (ranks are < 16), so the subtraction ages exactly those ways.
+        packed = _mm_sub_epi8(packed, _mm_cmplt_epi8(packed, probe));
+        packed = _mm_andnot_si128(same, packed);
+        auto *dst = reinterpret_cast<__m128i *>(ranks);
+        if constexpr (Ways == 8)
+            _mm_storel_epi64(dst, packed);
+        else
+            _mm_storeu_si128(dst, packed);
+        return hit >= 0;
+    }
+#endif
+
+    static bool
+    accessAny(u64 *tags, u8 *ranks, u32 ways, u64 tag)
+    {
+        int hit = -1;
+        for (u32 w = 0; w < ways; ++w)
+            hit = tags[w] == tag ? static_cast<int>(w) : hit;
+        const u8 rank =
+            hit >= 0 ? ranks[hit] : static_cast<u8>(ways - 1);
+        u32 touched = 0;
+        for (u32 w = 0; w < ways; ++w) {
+            const u8 r = ranks[w];
+            touched = r == rank ? w : touched;
+            ranks[w] = static_cast<u8>(r + (r < rank));
+        }
+        ranks[touched] = 0;
+        tags[touched] = tag;
+        return hit >= 0;
+    }
+
     CacheParams params_;
-    bool mru_hint_;
     u64 sets_;
-    std::vector<u64> tags_;   //!< SoA: tag per way, sentinel = empty
-    std::vector<u64> stamps_; //!< SoA: LRU stamp per way
-    std::vector<u32> mru_;    //!< per-set hint; advisory, may be stale
-    u64 clock_ = 0;
+    std::vector<u64> tags_; //!< SoA: tag per way, sentinel = empty
+    std::vector<u8> ranks_; //!< SoA: recency rank per way, 0 = MRU
     u64 set_mask_ = 0;
     u32 line_shift_ = 0;
 };
@@ -228,22 +228,16 @@ class CacheHierarchy
     CacheHierarchy() : CacheHierarchy(Config{}) {}
 
     explicit CacheHierarchy(Config config)
-        : config_(config), l1_(config.l1),
-          l2_(config.l2, /*mru_hint=*/false),
-          llc_(config.llc, /*mru_hint=*/false)
+        : config_(config), l1_(config.l1), l2_(config.l2),
+          llc_(config.llc)
     {
     }
 
     /**
      * Look up addr, fill on miss, and return the access latency.
-     *
      * Every level a miss passes through refills on the way down, so
-     * each level's probe is the fused probe-or-insert: the old
-     * lookup-all-levels-then-insert-all-levels shape rescanned every
-     * missing set a second time for its victim. Per-level replacement
-     * state evolves identically (each level still sees exactly one
-     * probe-or-insert per access that reaches it, in the same order);
-     * only the redundant scans are gone.
+     * each level sees exactly one probe-or-fill per access that
+     * reaches it.
      */
     Cycles
     access(Addr addr)

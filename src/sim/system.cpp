@@ -153,6 +153,12 @@ SystemConfig::validate() const
             status.update(Status::error(label, ": zero-way TLB"));
             return;
         }
+        // The set scans build a u32 match mask, one bit per way.
+        if (p.ways > 32) {
+            status.update(Status::error(
+                label, ": ", p.ways, " ways exceeds the 32-way limit"));
+            return;
+        }
         if (p.entries == 0) {
             status.update(Status::error(label, ": zero entries"));
             return;
@@ -183,6 +189,12 @@ SystemConfig::validate() const
                                       const cache::CacheParams &p) {
         if (p.ways == 0) {
             status.update(Status::error(label, ": zero-way cache"));
+            return;
+        }
+        if (p.ways > cache::Cache::kMaxWays) {
+            status.update(Status::error(
+                label, ": ", p.ways, " ways exceeds the ",
+                cache::Cache::kMaxWays, "-way limit of a u8 LRU rank"));
             return;
         }
         if (!isPow2(p.line_bytes)) {
@@ -769,16 +781,6 @@ System::chargeWalkRefs(CoreState &core, const os::Process &proc,
     return cost;
 }
 
-// Ablation switches for profiling builds only (never defined in the
-// shipped CMake config): carve one component out of the hot path so
-// wall-clock deltas attribute cost where gprof's instrumentation bias
-// cannot.
-#ifdef PCCSIM_ABLATE_DCACHE
-#define PCCSIM_DCACHE(core, addr) Cycles{0}
-#else
-#define PCCSIM_DCACHE(core, addr) (core).dcache.access(addr)
-#endif
-
 Cycles
 System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                  bool write)
@@ -806,7 +808,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr, filled);
         }
-        cost += PCCSIM_DCACHE(core, vaddr);
+        cost += core.dcache.access(vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::Fault,
                        cost, 0, fault_cost);
@@ -826,7 +828,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr);
         }
-        cost += PCCSIM_DCACHE(core, vaddr);
+        cost += core.dcache.access(vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::L1,
                        cost, 0, 0);
@@ -876,7 +878,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                           proc.pid(), vaddr, size, level);
     }
     core.noteTranslated(vaddr, size);
-    cost += PCCSIM_DCACHE(core, vaddr);
+    cost += core.dcache.access(vaddr);
     if (tel_tail_) {
         const telemetry::TailOutcome outcome =
             level == tlb::HitLevel::Miss ? telemetry::TailOutcome::Walk

@@ -7,6 +7,10 @@
  * linear scan. findTag() is that scan; with PCCSIM_SIMD_TAGSCAN (a
  * CMake feature flag that also supplies the -m flags) the compares run
  * 4 tags per AVX2 instruction / 2 per SSE2 instruction instead.
+ * matchEight() is the one SSE2 compare: findTag's SSE2 path runs it
+ * over each block of eight ways, and findTagSse2(), which the data
+ * cache calls for its 8- and 16-way sets on every SSE2 build, turns
+ * it straight into a way index.
  *
  * Both kernels are deliberately *branch-free across the ways*: an
  * early-exit compare loop looks cheaper but its exit way is data-
@@ -27,11 +31,48 @@
 
 #if defined(PCCSIM_SIMD_TAGSCAN) && defined(__AVX2__)
 #include <immintrin.h>
-#elif defined(PCCSIM_SIMD_TAGSCAN) && defined(__SSE2__)
+#elif defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
 namespace pccsim::util {
+
+#if defined(__SSE2__)
+/**
+ * Which of the eight tags at tags[0, 8) equal `tag`: bit 2w is set
+ * where tags[w] does. The compares run two tags per instruction: the
+ * 32-bit compares pack down to one bit per half tag, and a tag matches
+ * where both of its halves do.
+ */
+inline u32
+matchEight(const u64 *tags, u64 tag)
+{
+    const __m128i needle = _mm_set1_epi64x(static_cast<long long>(tag));
+    const auto eq = [&](u32 i) {
+        return _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(tags + i)),
+            needle);
+    };
+    const u32 halves = static_cast<u32>(_mm_movemask_epi8(
+        _mm_packs_epi16(_mm_packs_epi32(eq(0), eq(2)),
+                        _mm_packs_epi32(eq(4), eq(6)))));
+    return halves & (halves >> 1) & 0x5555u;
+}
+
+/** findTag for a set of exactly 8 or 16 ways, on matchEight. */
+template <u32 Ways>
+inline int
+findTagSse2(const u64 *tags, u64 tag)
+{
+    static_assert(Ways == 8 || Ways == 16, "8 or 16 ways");
+    u32 pairs = matchEight(tags, tag);
+    if constexpr (Ways == 16)
+        pairs |= matchEight(tags + 8, tag) << 16;
+    return pairs ? static_cast<int>(
+                       static_cast<u32>(__builtin_ctz(pairs)) >> 1)
+                 : -1;
+}
+#endif
 
 /**
  * Index of `tag` within tags[0, ways), or a negative value when
@@ -54,16 +95,13 @@ findTag(const u64 *tags, u32 ways, u64 tag)
         mask |= m << w;
     }
 #elif defined(PCCSIM_SIMD_TAGSCAN) && defined(__SSE2__)
-    const __m128i needle = _mm_set1_epi64x(static_cast<long long>(tag));
-    for (; w + 2 <= ways; w += 2) {
-        const __m128i lane = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(tags + w));
-        const __m128i eq = _mm_cmpeq_epi32(lane, needle);
-        // cmpeq_epi32 matches 32-bit halves; a 64-bit match needs both
-        // halves equal, i.e. a full 0xFF byte nibble per qword.
-        const u32 m8 = static_cast<u32>(_mm_movemask_epi8(eq));
-        mask |= (((m8 & 0x00FFu) == 0x00FFu) ? 1u : 0u) << w;
-        mask |= (((m8 & 0xFF00u) == 0xFF00u) ? 2u : 0u) << w;
+    for (; w + 8 <= ways; w += 8) {
+        // Fold matchEight's even bits down to one bit per way.
+        u32 m = matchEight(tags + w, tag);
+        m = (m | (m >> 1)) & 0x3333u;
+        m = (m | (m >> 2)) & 0x0F0Fu;
+        m = (m | (m >> 4)) & 0x00FFu;
+        mask |= m << w;
     }
 #endif
     for (; w < ways; ++w)

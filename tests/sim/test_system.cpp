@@ -200,6 +200,39 @@ TEST(SystemConfigValidate, RejectsImpossibleGeometry)
         << odd_sets.validate().toString();
 }
 
+TEST(SystemConfigValidate, RejectsTlbWaysPastTheScanMask)
+{
+    // TLB and PWC set scans build a u32 match mask, one bit per way.
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    cfg.tlb.l2 = {32, 32};
+    EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+    cfg.tlb.l2 = {64, 64};
+    const auto status = cfg.validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.toString().find("tlb.l2"), std::string::npos)
+        << status.toString();
+
+    SystemConfig pwc = SystemConfig::forScale(workloads::Scale::Ci);
+    pwc.pwc.pde = {40, 40};
+    const auto pwc_status = pwc.validate();
+    ASSERT_FALSE(pwc_status.ok());
+    EXPECT_NE(pwc_status.toString().find("pwc.pde"), std::string::npos)
+        << pwc_status.toString();
+}
+
+TEST(SystemConfigValidate, RejectsCacheWaysPastTheRankWidth)
+{
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    const u32 max = cache::Cache::kMaxWays;
+    cfg.cache.llc = {u64{max} * 64, max, 64};
+    EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+    cfg.cache.llc = {u64{max + 1} * 64, max + 1, 64};
+    const auto status = cfg.validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.toString().find("cache.llc"), std::string::npos)
+        << status.toString();
+}
+
 TEST(SystemConfigValidate, RejectsNonsenseRunParameters)
 {
     SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
