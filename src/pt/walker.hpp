@@ -142,32 +142,16 @@ class Walker
         const Vpn vpn2m = mem::vpnOf(vaddr, mem::PageSize::Huge2M);
         const Vpn vpn512g = vaddr >> 39;
 
-        // Start below the deepest PWC hit; every traversed level is
-        // (re)filled. The combined access() folds the former
-        // probe-then-refill double scan into one scan per structure:
-        // a level that must be probed uses access() (hit or insert in
-        // one pass), while levels above a deeper hit skip the probe
-        // and just refill.
-        unsigned start_level = 0; // number of levels skipped
+        // Every traversed level is probed and (re)filled, each with one
+        // access(); the walk starts below the deepest PWC hit.
+        unsigned skipped = 0; // number of levels the PWCs supply
         if (depth >= 4 && pde_.access(vpn2m).hit)
-            start_level = 3;
-        if (depth >= 3) {
-            if (start_level == 0) {
-                if (pdpte_.access(vpn1g).hit)
-                    start_level = 2;
-            } else {
-                pdpte_.insert(vpn1g);
-            }
-        }
-        if (depth >= 2) {
-            if (start_level == 0) {
-                if (pml4e_.access(vpn512g).hit)
-                    start_level = 1;
-            } else {
-                pml4e_.insert(vpn512g);
-            }
-        }
-        return depth - start_level;
+            skipped = 3;
+        if (depth >= 3 && pdpte_.access(vpn1g).hit && skipped == 0)
+            skipped = 2;
+        if (depth >= 2 && pml4e_.access(vpn512g).hit && skipped == 0)
+            skipped = 1;
+        return depth - skipped;
     }
 
     PwcParams params_;

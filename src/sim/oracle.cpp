@@ -183,7 +183,7 @@ RefTlbHierarchy::shootdown(Addr base, u64 bytes)
 bool
 RefTlbHierarchy::noteRepeatL1Hit(Addr vaddr, mem::PageSize size)
 {
-    // The stamp refresh the real path skips is harmless either way:
+    // The recency update the real path skips is harmless either way:
     // a last-translation-cache run touches no other page on this core,
     // so the page is MRU in its set whether or not each repeat bumps
     // its stamp.

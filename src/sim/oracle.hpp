@@ -2,11 +2,11 @@
  * @file
  * Differential oracle for the optimized translation path.
  *
- * PR 2 rebuilt the per-access hot path around aggressive shortcuts
- * (16-byte sentinel-packed TLB entries, MRU-way hints, the per-core
- * last-translation cache). Nothing independently proved that the fast
- * path still computes the *same answer* as a naive implementation —
- * regression tests only compare the fast path against itself. The
+ * The per-access hot path rests on shortcuts (sentinel-packed TLB
+ * tags, packed recency ranks, the per-core last-translation cache).
+ * Nothing independently proved that the fast path still computes the
+ * *same answer* as a naive implementation — regression tests only
+ * compare the fast path against itself. The
  * oracle closes that gap: a deliberately simple, obviously-correct
  * reference model (straight set-associative lookup over std::map-backed
  * tables, true LRU by an explicit stamp, no hints, no packing, no
@@ -95,7 +95,7 @@ class OracleError : public std::runtime_error
 
 /**
  * Reference set-associative structure: std::map-backed sets, explicit
- * LRU stamps, linear victim scan. No MRU hints, no sentinel packing —
+ * LRU stamps, linear victim scan. No recency ranks, no sentinel tags —
  * every decision is spelled out. Replacement behavior is equivalent to
  * tlb::SetAssocTlb by construction: true LRU over valid entries with
  * empty slots filled first.

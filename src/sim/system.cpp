@@ -153,7 +153,7 @@ SystemConfig::validate() const
             status.update(Status::error(label, ": zero-way TLB"));
             return;
         }
-        // The set scans build a u32 match mask, one bit per way.
+        // 32 ways is the widest TLB the differential tests cover.
         if (p.ways > 32) {
             status.update(Status::error(
                 label, ": ", p.ways, " ways exceeds the 32-way limit"));
@@ -1380,12 +1380,6 @@ System::run(std::vector<Job> jobs)
     // ---- set up processes and workloads ----
     u64 total_footprint = 0;
     std::vector<os::Process *> procs;
-    {
-        // Physical memory is sized from the declared footprints, so
-        // allocate processes first, then the memory + OS.
-        std::vector<std::unique_ptr<os::Process>> staged;
-        (void)staged;
-    }
     // Create the OS late: we need footprints for auto-sizing physical
     // memory, but processes live inside the OS. Solve by creating the
     // OS with a deferred-size physical memory: do a dry setup pass on

@@ -113,9 +113,9 @@ class TlbHierarchy
      * last-translation cache: by construction such an access would
      * have hit L1 (the cached page was L1-filled and nothing
      * invalidated it since), so it counts as an L1 hit without paying
-     * the set scan. Skipping the LRU stamp refresh is safe — repeated
-     * accesses to one page leave the set's relative recency order
-     * unchanged.
+     * the set scan. Skipping the recency update is safe — the page is
+     * already its L1 set's most recently used entry, so touching it
+     * again would change nothing.
      */
     void
     noteRepeatL1Hit()

@@ -6,17 +6,14 @@
  * virtual page number at that size. Timing is modelled by the hierarchy;
  * this class only answers hit/miss and maintains replacement state.
  *
- * Storage is structure-of-arrays: the VPN tags of a set sit in one
- * contiguous array and the LRU stamps in another, so the hot-path scans
- * (lookup, the fused access) touch only tag lines until a decision
- * needs a stamp, and the tag compare can run through the optional SIMD
- * kernel (util/tagscan.hpp, PCCSIM_SIMD_TAGSCAN).
+ * The entries live in a util::LruSets tag array, the same one the data
+ * cache uses: exact true LRU, with holes (ways emptied by invalidation
+ * or a flush) filled before any valid entry is evicted.
  */
 
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "tlb/geometry.hpp"
 #include "util/log.hpp"
@@ -37,182 +34,47 @@ class SetAssocTlb
     };
 
     explicit SetAssocTlb(TlbParams params)
-        : params_(params),
-          sets_(params.sets() == 0 ? 1 : params.sets()),
-          ways_(params.ways == 0 ? 1 : params.ways),
-          vpns_(static_cast<size_t>(sets_) * ways_, kInvalidVpn),
-          stamps_(static_cast<size_t>(sets_) * ways_, 0),
-          mru_(sets_, 0)
+        : entries_(params.sets(), params.ways)
     {
         PCCSIM_ASSERT(params.entries % params.ways == 0,
                       "TLB entries not divisible by ways");
-        // Power-of-two set counts (every real geometry) index with a
-        // mask; the 64-bit modulo fallback only serves odd test shapes.
-        set_mask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
     }
 
     /** Probe for vpn; refreshes LRU state on hit. */
-    bool
-    lookup(Vpn vpn)
-    {
-        const u64 set_index = setIndexOf(vpn);
-        Vpn *tags = &vpns_[set_index * ways_];
-        // MRU-way fast check: consecutive accesses overwhelmingly
-        // re-touch the way that hit last. The hint is only ever a
-        // shortcut — a stale hint fails the compare and falls through
-        // to the full scan, so results are identical either way.
-        u32 &mru = mru_[set_index];
-        if (tags[mru] == vpn) {
-            stamps_[set_index * ways_ + mru] = ++clock_;
-            return true;
-        }
-        const int w = util::findTag(tags, ways_, vpn);
-        if (w < 0)
-            return false;
-        stamps_[set_index * ways_ + w] = ++clock_;
-        mru = static_cast<u32>(w);
-        return true;
-    }
+    bool lookup(Vpn vpn) { return entries_.touchIfPresent(vpn); }
 
     /**
-     * Combined lookup-or-insert in a single set scan.
-     *
-     * Equivalent to `lookup(vpn)` followed on miss by `insert(vpn)`,
-     * with the same hit results, replacement decisions, and displaced
-     * victim — a hit refreshes one LRU stamp instead of two, which
-     * preserves the set's relative recency order.
+     * Probe for vpn, inserting it over the set's first hole, else its
+     * LRU entry, on a miss.
+     * @return Whether vpn hit, and the VPN a miss evicted, if any —
+     *         the feed of the Sec. 5.4.1 victim-buffer design
+     *         alternative.
      */
     AccessResult
     access(Vpn vpn)
     {
-        PCCSIM_DCHECK(vpn != kInvalidVpn);
-        const u64 set_index = setIndexOf(vpn);
-        Vpn *tags = &vpns_[set_index * ways_];
-        u64 *stamps = &stamps_[set_index * ways_];
-        u32 &mru = mru_[set_index];
-        if (tags[mru] == vpn) {
-            stamps[mru] = ++clock_;
-            return {true, std::nullopt};
-        }
-        // The fused scan covers every way, so hits beyond a mid-set
-        // hole (invalidate() punches them) are still found.
-        const auto scan = util::scanSet(tags, stamps, ways_, vpn);
-        if (scan.hit_way >= 0) {
-            stamps[scan.hit_way] = ++clock_;
-            mru = static_cast<u32>(scan.hit_way);
-            return {true, std::nullopt};
-        }
-        // Victim: earliest empty way if any, else true LRU. Both are
-        // the earliest-minimum stamp — invalidation zeroes the stamp
-        // alongside the tag, so holes carry stamp 0 while every valid
-        // way has a unique stamp >= 1.
-        const std::optional<Vpn> displaced =
-            tags[scan.victim] == kInvalidVpn
-                ? std::nullopt
-                : std::optional<Vpn>(tags[scan.victim]);
-        tags[scan.victim] = vpn;
-        stamps[scan.victim] = ++clock_;
-        mru = scan.victim;
-        return {false, displaced};
+        const auto result = entries_.access(vpn);
+        if (result.hit || result.victim == util::LruSets::kEmpty)
+            return {result.hit, std::nullopt};
+        return {false, result.victim};
     }
 
     /** Probe without touching replacement state. */
-    bool
-    contains(Vpn vpn) const
-    {
-        const Vpn *tags = &vpns_[setIndexOf(vpn) * ways_];
-        return util::findTag(tags, ways_, vpn) >= 0;
-    }
-
-    /**
-     * Insert vpn, evicting the set's LRU entry if needed.
-     * @return The VPN displaced by this insertion, if any — the feed
-     *         of the Sec. 5.4.1 victim-buffer design alternative.
-     */
-    std::optional<Vpn>
-    insert(Vpn vpn)
-    {
-        PCCSIM_DCHECK(vpn != kInvalidVpn);
-        const u64 set_index = setIndexOf(vpn);
-        Vpn *tags = &vpns_[set_index * ways_];
-        u64 *stamps = &stamps_[set_index * ways_];
-        u32 victim = 0;
-        u64 oldest = ~0ull;
-        bool evicting = true;
-        for (u32 w = 0; w < ways_; ++w) {
-            if (tags[w] == kInvalidVpn) {
-                victim = w;
-                evicting = false;
-                break;
-            }
-            if (tags[w] == vpn) {
-                stamps[w] = ++clock_;
-                return std::nullopt;
-            }
-            if (stamps[w] < oldest) {
-                oldest = stamps[w];
-                victim = w;
-            }
-        }
-        const std::optional<Vpn> displaced =
-            evicting ? std::optional<Vpn>(tags[victim]) : std::nullopt;
-        tags[victim] = vpn;
-        stamps[victim] = ++clock_;
-        return displaced;
-    }
+    bool contains(Vpn vpn) const { return entries_.contains(vpn); }
 
     /** Drop vpn if present; true when an entry was removed. */
-    bool
-    invalidate(Vpn vpn)
-    {
-        const u64 set_index = setIndexOf(vpn);
-        Vpn *tags = &vpns_[set_index * ways_];
-        const int w = util::findTag(tags, ways_, vpn);
-        if (w < 0)
-            return false;
-        tags[w] = kInvalidVpn;
-        // Zero the stamp with the tag: access() relies on holes
-        // ranking below every valid way in its victim scan.
-        stamps_[set_index * ways_ + w] = 0;
-        return true;
-    }
+    bool invalidate(Vpn vpn) { return entries_.invalidate(vpn); }
 
     /** Drop every entry whose vpn lies in [lo, hi). Returns count. */
     u64
     invalidateVpnRange(Vpn lo, Vpn hi)
     {
-        u64 dropped = 0;
-        for (size_t i = 0; i < vpns_.size(); ++i) {
-            if (vpns_[i] != kInvalidVpn && vpns_[i] >= lo &&
-                vpns_[i] < hi) {
-                vpns_[i] = kInvalidVpn;
-                stamps_[i] = 0;
-                ++dropped;
-            }
-        }
-        return dropped;
+        return entries_.dropIf(
+            [lo, hi](Vpn vpn) { return vpn >= lo && vpn < hi; });
     }
 
-    /**
-     * Invalidate everything. Stamps are zeroed with the tags — the
-     * branchless victim scan (util::scanSet / util::findVictim) ranks
-     * holes by their zero stamp, so a flush that left stale stamps
-     * behind would make later insertions evict valid entries while
-     * empty ways exist. The MRU hints are reset for the same hygiene
-     * (a stale hint is only ever a failed compare, but pointing it at
-     * way 0 keeps post-flush behavior independent of pre-flush
-     * history).
-     */
-    void
-    flushAll()
-    {
-        for (auto &vpn : vpns_)
-            vpn = kInvalidVpn;
-        for (auto &stamp : stamps_)
-            stamp = 0;
-        for (auto &mru : mru_)
-            mru = 0;
-    }
+    /** Invalidate everything. */
+    void flushAll() { entries_.flushAll(); }
 
     /**
      * Drop every entry whose key matches `tag` under `mask` — the
@@ -223,65 +85,23 @@ class SetAssocTlb
     u64
     flushMatching(u64 tag, u64 mask)
     {
-        u64 dropped = 0;
-        for (size_t i = 0; i < vpns_.size(); ++i) {
-            if (vpns_[i] != kInvalidVpn && (vpns_[i] & mask) == tag) {
-                vpns_[i] = kInvalidVpn;
-                stamps_[i] = 0;
-                ++dropped;
-            }
-        }
-        return dropped;
+        return entries_.dropIf(
+            [tag, mask](Vpn vpn) { return (vpn & mask) == tag; });
     }
 
     /** Currently valid entries (for tests/introspection). */
-    u64
-    validCount() const
-    {
-        u64 n = 0;
-        for (const auto &vpn : vpns_)
-            n += vpn != kInvalidVpn ? 1 : 0;
-        return n;
-    }
+    u64 validCount() const { return entries_.validCount(); }
 
     /** Visit the VPN of every valid entry (invariant checking). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &vpn : vpns_)
-            if (vpn != kInvalidVpn)
-                fn(vpn);
+        entries_.forEachValid(fn);
     }
-
-    u32 numEntries() const { return params_.entries; }
-    u32 numWays() const { return ways_; }
-    u32 numSets() const { return sets_; }
 
   private:
-    /**
-     * An empty way holds the sentinel VPN instead of a separate valid
-     * flag, so the hot-path scans are pure VPN compares. The sentinel
-     * is unreachable: VPNs are vaddr >> 12 (or more), so ~0 would need
-     * an address in the top page of the address space.
-     */
-    static constexpr Vpn kInvalidVpn = ~Vpn(0);
-
-    u64
-    setIndexOf(Vpn vpn) const
-    {
-        return set_mask_ ? (vpn & set_mask_) : (vpn % sets_);
-    }
-
-    TlbParams params_;
-    u32 sets_;
-    u32 ways_;
-    std::vector<Vpn> vpns_;   //!< SoA: VPN tag per way, sentinel = empty
-    std::vector<u64> stamps_; //!< SoA: LRU stamp per way
-    /** Per-set hint: the way of the most recent hit/insert. */
-    std::vector<u32> mru_;
-    u64 set_mask_ = 0;
-    u64 clock_ = 0;
+    util::LruSets entries_;
 };
 
 } // namespace pccsim::tlb

@@ -167,9 +167,9 @@ TEST_P(CacheDifferential, HitsMatchRecencyListLru)
     EXPECT_LT(hits, n * 9 / 10);
 }
 
-// 8 and 16 ways take the packed kernel; the other ways run the generic
-// loop, including odd counts the victima-reach L2 takes ways down to and
-// counts past the 32-bit match masks of the TLB scans. Set counts
+// 4, 8 and 16 ways take the packed rank update on SSE2 builds; the
+// other ways run the plain loop, including odd counts the victima-reach
+// L2 takes ways down to and counts past the widest TLB. Set counts
 // cover the mask and the modulo index paths.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDifferential,

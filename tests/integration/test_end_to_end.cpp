@@ -73,8 +73,9 @@ TEST(EndToEndInvariants, BackgroundWorkIsAccounted)
     ExperimentSpec spec = ciSpec("bfs", PolicyKind::Pcc);
     spec.frag_fraction = 0.9;
     const RunResult result = runOne(spec);
-    if (result.job().promotions > 0 && result.compactions > 0)
+    if (result.job().promotions > 0 && result.compactions > 0) {
         EXPECT_GT(result.os_background_cycles, 0u);
+    }
 }
 
 TEST(EndToEndInvariants, SortedInputsStillComplete)

@@ -86,7 +86,7 @@ TEST_F(Fixture, PromotionOfUntouchedRegionRejected)
 TEST_F(Fixture, PromotionOutsideHeapRejected)
 {
     const auto result =
-        os_model.promoteRegion(proc, heap + 1ull << 40, false);
+        os_model.promoteRegion(proc, heap + (1ull << 40), false);
     EXPECT_EQ(result.status, PromoteStatus::NotEligible);
 }
 

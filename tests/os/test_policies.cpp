@@ -397,8 +397,9 @@ TEST(PccPolicy, DemotionFreesFramesUnderPressure)
     // room (or everything fit, in which case demotions may be zero but
     // promotions saturate).
     EXPECT_GT(proc.promotions(), 0u);
-    if (proc.promotions() < 4)
+    if (proc.promotions() < 4) {
         EXPECT_GT(proc.demotions(), 0u);
+    }
 }
 
 TEST(PccPolicy, PromotionShootdownInvalidatesCandidate)

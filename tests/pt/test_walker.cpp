@@ -119,3 +119,25 @@ TEST(Walker, StatsAccumulateAndReset)
     walker.resetStats();
     EXPECT_EQ(walker.walks(), 0u);
 }
+
+TEST(Walker, PdpteRefillAfterAShootdownKeepsTrueLru)
+{
+    // Regions 0-3 fill the default 4-way, 1-set PDPTE cache; the 1GB
+    // shootdown of region 0 punches a hole in it. Walking region 2
+    // again hits the PDE cache and refills region 2's resident PDPTE,
+    // so walking region 4 takes the hole and evicts nothing: region
+    // 1's PDPTE must survive for its next walk.
+    PageTable pt;
+    Walker walker;
+    const auto region = [](u64 r) { return kHeap + r * mem::kBytes1G; };
+    for (u64 r = 0; r < 5; ++r)
+        pt.mapBase(region(r), r);
+    pt.mapBase(region(1) + mem::kBytes2M, 5);
+    for (u64 r = 0; r < 4; ++r)
+        walker.walk(pt, region(r));
+    walker.shootdown(region(0), mem::kBytes1G);
+    EXPECT_EQ(walker.walk(pt, region(2)).memory_refs, 1u);
+    walker.walk(pt, region(4));
+    // A 2MB region region 1 has not touched: PDE miss, PDPTE hit.
+    EXPECT_EQ(walker.walk(pt, region(1) + mem::kBytes2M).memory_refs, 2u);
+}

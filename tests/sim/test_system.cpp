@@ -202,7 +202,7 @@ TEST(SystemConfigValidate, RejectsImpossibleGeometry)
 
 TEST(SystemConfigValidate, RejectsTlbWaysPastTheScanMask)
 {
-    // TLB and PWC set scans build a u32 match mask, one bit per way.
+    // TLB and PWC structures are capped at 32 ways.
     SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
     cfg.tlb.l2 = {32, 32};
     EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();

@@ -25,8 +25,9 @@ TEST(LatencyHistogram, BucketIndexAndLowerBoundRoundTrip)
                   123456789ull, ~0ull}) {
         const u32 idx = LatencyHistogram::indexOf(v);
         EXPECT_LE(LatencyHistogram::bucketLow(idx), v) << v;
-        if (idx + 1 < LatencyHistogram::kBuckets)
+        if (idx + 1 < LatencyHistogram::kBuckets) {
             EXPECT_LT(v, LatencyHistogram::bucketLow(idx + 1)) << v;
+        }
     }
 }
 

@@ -277,8 +277,9 @@ TEST(Synthetic, SequentialCoversFootprintInOrder)
     Addr prev = 0;
     bool first = true;
     while (lane.next()) {
-        if (!first)
+        if (!first) {
             EXPECT_EQ(lane.value().addr, prev + 64);
+        }
         prev = lane.value().addr;
         first = false;
     }
