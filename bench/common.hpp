@@ -477,13 +477,12 @@ struct BenchEnv
         if (opts.has("sample")) {
             const std::string wf = opts.get("sample");
             const auto colon = wf.find(':');
-            u64 window = 0, fastforward = 0;
+            i64 window = 0, fastforward = 0;
             if (colon != std::string::npos) {
-                window = std::strtoull(wf.c_str(), nullptr, 10);
-                fastforward = std::strtoull(
-                    wf.c_str() + colon + 1, nullptr, 10);
+                window = parseIntFlag("sample", wf.substr(0, colon));
+                fastforward = parseIntFlag("sample", wf.substr(colon + 1));
             }
-            if (window == 0 || fastforward == 0) {
+            if (window < 1 || fastforward < 1) {
                 fatal("bad --sample=", wf,
                       " (expected --sample=W:F with W,F >= 1, e.g. "
                       "--sample=100000:900000)");
@@ -493,8 +492,8 @@ struct BenchEnv
                       "(the reference model cannot skip fast-forward "
                       "phases)");
             }
-            env.sampling.window = window;
-            env.sampling.fastforward = fastforward;
+            env.sampling.window = static_cast<u64>(window);
+            env.sampling.fastforward = static_cast<u64>(fastforward);
         }
         // Register the failure latch first: atexit runs in reverse
         // order, so it fires after every export writer below.

@@ -5,7 +5,8 @@
  * distance at 4KB and at the enclosing 2MB granularity and classify
  * pages as TLB-friendly / HUB / low-reuse using the paper's threshold
  * (1024, a typical L2 TLB entry count). Emits the class census plus a
- * scatter sample (CSV columns: reuse_4k, reuse_2m, class).
+ * scatter sample (CSV columns: reuse_4k, reuse_2m, class) of every
+ * Nth page, N from --scatter-every (default 97).
  */
 
 #include "analysis/reuse.hpp"
@@ -22,8 +23,9 @@ main(int argc, char **argv)
     Options opts(argc, argv);
     const u64 threshold =
         static_cast<u64>(opts.getInt("threshold", 1024));
+    // Not --sample: BenchEnv reads that as the W:F sampled-mode window.
     const u64 sample_every =
-        static_cast<u64>(opts.getInt("sample", 97));
+        static_cast<u64>(opts.getInt("scatter-every", 97));
 
     workloads::WorkloadSpec wspec;
     wspec.name = env.apps.front();

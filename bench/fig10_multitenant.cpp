@@ -341,12 +341,12 @@ main(int argc, char **argv)
         sweep.tenants.clear();
         for (const auto &t : splitList(opts.get("tenants")))
             sweep.tenants.push_back(
-                static_cast<u32>(std::strtoul(t.c_str(), nullptr, 10)));
+                static_cast<u32>(parseIntFlag("tenants", t)));
     }
     if (opts.has("frag")) {
         sweep.frags.clear();
         for (const auto &f : splitList(opts.get("frag")))
-            sweep.frags.push_back(std::strtod(f.c_str(), nullptr));
+            sweep.frags.push_back(parseDoubleFlag("frag", f));
     }
     if (opts.has("arbiter"))
         sweep.arbiters = splitList(opts.get("arbiter"));

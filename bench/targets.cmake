@@ -55,3 +55,4 @@ pcc_micro(micro_tlb)
 pcc_micro(micro_buddy)
 pcc_micro(micro_walker)
 pcc_micro(micro_cache)
+pcc_micro(micro_graph)

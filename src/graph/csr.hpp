@@ -75,6 +75,14 @@ class CsrGraph
     const std::vector<NodeId> &targets() const { return targets_; }
     const std::vector<u32> &weights() const { return weights_; }
 
+    /** The same vertices and edges with `weights`; consumes this graph. */
+    CsrGraph
+    withWeights(std::vector<u32> weights) &&
+    {
+        return CsrGraph(std::move(offsets_), std::move(targets_),
+                        std::move(weights));
+    }
+
     /** Host-side bytes of the CSR arrays (the simulated footprint core). */
     u64
     bytes() const

@@ -1,7 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <bit>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -10,24 +12,7 @@ namespace pccsim::graph {
 Edge
 rmatEdge(unsigned scale, Rng &rng, double a, double b, double c)
 {
-    NodeId src = 0;
-    NodeId dst = 0;
-    for (unsigned bit = 0; bit < scale; ++bit) {
-        const double r = rng.uniform();
-        src <<= 1;
-        dst <<= 1;
-        if (r < a) {
-            // top-left quadrant: neither bit set
-        } else if (r < a + b) {
-            dst |= 1;
-        } else if (r < a + b + c) {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
-    }
-    return {src, dst};
+    return RmatSampler(a, b, c).edge(scale, rng);
 }
 
 namespace {
@@ -36,10 +21,10 @@ namespace {
 std::vector<Edge>
 kroneckerEdges(const GraphSpec &spec, Rng &rng)
 {
-    std::vector<Edge> edges;
-    edges.reserve(spec.numDirectedEdges());
-    for (u64 i = 0; i < spec.numDirectedEdges(); ++i)
-        edges.push_back(rmatEdge(spec.scale, rng));
+    const RmatSampler gap(kRmatA, kRmatB, kRmatC);
+    std::vector<Edge> edges(spec.numDirectedEdges());
+    for (Edge &e : edges)
+        e = gap.edge(spec.scale, rng);
     return edges;
 }
 
@@ -123,32 +108,29 @@ withUniformWeights(CsrGraph graph, u64 seed, u32 max_weight)
     std::vector<u32> weights(graph.numEdges());
     for (auto &w : weights)
         w = static_cast<u32>(rng.range(1, max_weight));
-    return CsrGraph(std::vector<u64>(graph.offsets()),
-                    std::vector<NodeId>(graph.targets()),
-                    std::move(weights));
+    return std::move(graph).withWeights(std::move(weights));
 }
 
 CsrGraph
 dbgReorder(const CsrGraph &graph)
 {
     const NodeId n = graph.numNodes();
-    // Group vertices by floor(log2(degree)); hotter groups first.
-    std::vector<NodeId> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](NodeId a, NodeId b) {
-                         unsigned ga = 0, gb = 0;
-                         for (u32 d = graph.degree(a); d > 1; d >>= 1)
-                             ++ga;
-                         for (u32 d = graph.degree(b); d > 1; d >>= 1)
-                             ++gb;
-                         return ga > gb;
-                     });
-
-    // order[new_id] = old_id; build the inverse permutation.
+    // Group vertices by floor(log2(degree)), degree 0 with degree 1,
+    // and number them group by group, hottest group first and by old
+    // id within a group: a stable counting sort on 32 keys.
+    const auto group = [&](NodeId v) {
+        return std::bit_width(graph.degree(v) | 1u) - 1;
+    };
+    constexpr int kGroups = 32;
+    std::array<NodeId, kGroups> next{};
+    for (NodeId v = 0; v < n; ++v)
+        ++next[group(v)];
+    NodeId start = 0;
+    for (int g = kGroups - 1; g >= 0; --g)
+        start += std::exchange(next[g], start);
     std::vector<NodeId> new_id(n);
-    for (NodeId i = 0; i < n; ++i)
-        new_id[order[i]] = i;
+    for (NodeId v = 0; v < n; ++v)
+        new_id[v] = next[group(v)]++;
 
     std::vector<u64> offsets(static_cast<u64>(n) + 1, 0);
     for (NodeId v = 0; v < n; ++v)
@@ -163,11 +145,10 @@ dbgReorder(const CsrGraph &graph)
     for (NodeId v = 0; v < n; ++v) {
         const u64 base = offsets[new_id[v]];
         const auto nbrs = graph.neighbors(v);
-        for (u64 i = 0; i < nbrs.size(); ++i) {
+        for (u64 i = 0; i < nbrs.size(); ++i)
             targets[base + i] = new_id[nbrs[i]];
-            if (graph.hasWeights())
-                weights[base + i] = graph.edgeWeights(v)[i];
-        }
+        if (graph.hasWeights())
+            std::ranges::copy(graph.edgeWeights(v), weights.begin() + base);
     }
     return CsrGraph(std::move(offsets), std::move(targets),
                     std::move(weights));

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/log.hpp"
@@ -46,7 +47,7 @@ Options::getInt(const std::string &name, i64 fallback) const
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    return parseIntFlag(name, it->second);
 }
 
 double
@@ -55,7 +56,7 @@ Options::getDouble(const std::string &name, double fallback) const
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return parseDoubleFlag(name, it->second);
 }
 
 bool
@@ -66,6 +67,28 @@ Options::getBool(const std::string &name, bool fallback) const
         return fallback;
     const std::string &v = it->second;
     return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+i64
+parseIntFlag(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const i64 v = std::strtoll(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        fatal("--", flag, "=", text, ": expected an integer");
+    return v;
+}
+
+double
+parseDoubleFlag(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        fatal("--", flag, "=", text, ": expected a number");
+    return v;
 }
 
 } // namespace pccsim

@@ -30,10 +30,18 @@ class Options
     std::string get(const std::string &name,
                     const std::string &fallback = "") const;
 
-    /** Integer value of --name, or fallback when absent. */
+    /**
+     * Integer value of --name, or fallback when absent or empty. A value
+     * that is not wholly an integer (decimal, or 0x/0 prefixed) is a
+     * fatal error naming the flag.
+     */
     i64 getInt(const std::string &name, i64 fallback) const;
 
-    /** Floating-point value of --name, or fallback when absent. */
+    /**
+     * Floating-point value of --name, or fallback when absent or empty.
+     * A value that is not wholly a number is a fatal error naming the
+     * flag.
+     */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Boolean: present with no value or value in {1,true,yes,on}. */
@@ -45,5 +53,15 @@ class Options
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/**
+ * Parse all of `text` as the value of --flag the way getInt() does, or
+ * exit through fatal() naming the flag: for list-valued flags whose
+ * elements are numbers.
+ */
+i64 parseIntFlag(const std::string &flag, const std::string &text);
+
+/** parseIntFlag() for a floating-point value, as getDouble() parses it. */
+double parseDoubleFlag(const std::string &flag, const std::string &text);
 
 } // namespace pccsim

@@ -80,11 +80,18 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** The 53 random bits behind uniform(): uniform() == bits * 2^-53. */
+    u64
+    uniformBits()
+    {
+        return next() >> 11;
+    }
+
     /** Uniform double in [0, 1). */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(uniformBits()) * 0x1.0p-53;
     }
 
     /** Bernoulli trial with probability p. */
@@ -103,6 +110,23 @@ class Rng
 
     u64 state_[4];
 };
+
+/**
+ * Integer form of the compare `uniform() < p`: for every 53-bit x,
+ * `x < uniformThreshold(p)` exactly when `double(x) * 2^-53 < p`.
+ * x * 2^-53 is exact, so the compare holds iff x < p * 2^53 (also
+ * exact, a power-of-two scaling), i.e. iff x < ceil(p * 2^53). The
+ * result is clamped to [0, 2^53]: p <= 0 never passes, p >= 1 always
+ * does.
+ */
+inline u64
+uniformThreshold(double p)
+{
+    const double t = std::ceil(p * 0x1.0p53);
+    if (!(t > 0.0))
+        return 0;
+    return t >= 0x1.0p53 ? u64(1) << 53 : static_cast<u64>(t);
+}
 
 /**
  * Zipf-distributed integer sampler over [0, n).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "graph/generators.hpp"
 
@@ -155,4 +157,174 @@ TEST(Dbg, ReorderKeepsWeightsAttached)
     for (u32 w : sorted.weights())
         sum_after += w;
     EXPECT_EQ(sum_before, sum_after);
+}
+
+namespace {
+
+/** FNV-1a 64 over offsets, then targets, then weights. */
+u64
+csrHash(const CsrGraph &g)
+{
+    u64 h = 1469598103934665603ull;
+    const auto fold = [&h](u64 v) { h = (h ^ v) * 1099511628211ull; };
+    for (u64 v : g.offsets())
+        fold(v);
+    for (NodeId v : g.targets())
+        fold(v);
+    for (u32 v : g.weights())
+        fold(v);
+    return h;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    unsigned scale;
+    unsigned avg_degree;
+    NetworkKind kind;
+    bool weighted;
+    bool dbg;
+    u64 hash;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GoldenCase &c)
+{
+    return os << c.name;
+}
+
+class GoldenCsr : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+} // namespace
+
+// Every generated CSR, bit for bit, at seed 1. A changed value means
+// changed inputs, and so changed simulated results, for every graph
+// workload: a faster generator, CSR build or reorder must keep them.
+TEST_P(GoldenCsr, HashUnchanged)
+{
+    const GoldenCase &c = GetParam();
+    GraphSpec spec;
+    spec.scale = c.scale;
+    spec.avg_degree = c.avg_degree;
+    spec.kind = c.kind;
+    spec.weighted = c.weighted;
+    spec.seed = 1;
+    CsrGraph g = generate(spec);
+    if (c.dbg)
+        g = dbgReorder(g);
+    EXPECT_EQ(csrHash(g), c.hash)
+        << std::hex << "got 0x" << csrHash(g) << " want 0x" << c.hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedOne, GoldenCsr,
+    ::testing::Values(
+        GoldenCase{"KroneckerCi", 16, 8, NetworkKind::Kronecker, false,
+                   false, 0xce85d6819088db27ull},
+        GoldenCase{"SocialCi", 16, 8, NetworkKind::Social, false, false,
+                   0x9e0e39ff62e8bd23ull},
+        GoldenCase{"WebCi", 16, 8, NetworkKind::Web, false, false,
+                   0x360b0b63f563c35dull},
+        GoldenCase{"KroneckerSmall", 18, 16, NetworkKind::Kronecker,
+                   false, false, 0x586ff774896eba43ull},
+        GoldenCase{"SocialSmall", 18, 16, NetworkKind::Social, false,
+                   false, 0xe74fdf1e518d860bull},
+        GoldenCase{"WebSmall", 18, 16, NetworkKind::Web, false, false,
+                   0x1b83c3db21e1f12dull},
+        GoldenCase{"KroneckerSmallWeighted", 18, 16,
+                   NetworkKind::Kronecker, true, false, 0xf4bab75d68d055acull},
+        GoldenCase{"KroneckerSmallDbg", 18, 16, NetworkKind::Kronecker,
+                   false, true, 0xdba588ee2bc4bfffull}),
+    [](const ::testing::TestParamInfo<GoldenCase> &info) {
+        return std::string(info.param.name);
+    });
+
+namespace {
+
+/** The (a, b, c) triples the threshold tests cover, GAP's first. */
+constexpr double kTriples[][3] = {
+    {kRmatA, kRmatB, kRmatC},
+    {0.45, 0.15, 0.15},
+    {0.25, 0.25, 0.25},
+    {0.1, 0.3, 0.35},
+    {0.7, 0.1, 0.19999999999999998},
+};
+
+/** The double compare that `x < uniformThreshold(t)` replaces. */
+bool
+below(u64 x, double t)
+{
+    return static_cast<double>(x) * 0x1.0p-53 < t;
+}
+
+/** The R-MAT bit ladder on Rng::uniform() draws, compare by compare. */
+Edge
+ladderEdge(unsigned scale, Rng &rng, double a, double b, double c)
+{
+    NodeId src = 0;
+    NodeId dst = 0;
+    for (unsigned bit = 0; bit < scale; ++bit) {
+        const double r = rng.uniform();
+        src <<= 1;
+        dst <<= 1;
+        if (r < a) {
+        } else if (r < a + b) {
+            dst |= 1;
+        } else if (r < a + b + c) {
+            src |= 1;
+        } else {
+            src |= 1;
+            dst |= 1;
+        }
+    }
+    return {src, dst};
+}
+
+} // namespace
+
+TEST(RmatThreshold, IntegerCompareMatchesDoubleCompare)
+{
+    constexpr u64 kMax53 = (u64(1) << 53) - 1;
+    Rng rng(2024);
+    for (const auto &abc : kTriples) {
+        const double sums[] = {abc[0], abc[0] + abc[1],
+                               abc[0] + abc[1] + abc[2]};
+        for (double t : sums) {
+            const u64 T = uniformThreshold(t);
+            ASSERT_GT(T, 0u);
+            ASSERT_LE(T, kMax53);
+            for (u64 x : {T - 1, T, T + 1, u64(0), kMax53})
+                EXPECT_EQ(x < T, below(x, t)) << "t=" << t << " x=" << x;
+            for (int i = 0; i < 100000; ++i) {
+                const u64 x = rng.uniformBits();
+                ASSERT_EQ(x < T, below(x, t)) << "t=" << t << " x=" << x;
+            }
+        }
+    }
+}
+
+TEST(RmatThreshold, ClampsOutsideTheUnitInterval)
+{
+    constexpr u64 kMax53 = (u64(1) << 53) - 1;
+    for (double t : {-1.0, 0.0, 1.0, 1.5}) {
+        const u64 T = uniformThreshold(t);
+        for (u64 x : {u64(0), u64(1), kMax53 - 1, kMax53})
+            EXPECT_EQ(x < T, below(x, t)) << "t=" << t << " x=" << x;
+    }
+}
+
+TEST(RmatThreshold, SamplerMatchesDoubleLadder)
+{
+    for (const auto &abc : kTriples) {
+        Rng fast(7);
+        Rng ladder(7);
+        for (int i = 0; i < 20000; ++i) {
+            const Edge got = rmatEdge(20, fast, abc[0], abc[1], abc[2]);
+            const Edge want = ladderEdge(20, ladder, abc[0], abc[1], abc[2]);
+            ASSERT_EQ(got.src, want.src) << "edge " << i;
+            ASSERT_EQ(got.dst, want.dst) << "edge " << i;
+        }
+    }
 }
