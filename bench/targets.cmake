@@ -56,3 +56,4 @@ pcc_micro(micro_buddy)
 pcc_micro(micro_walker)
 pcc_micro(micro_cache)
 pcc_micro(micro_graph)
+pcc_micro(micro_setup)

@@ -14,8 +14,16 @@ Os::Os(Params params, mem::PhysicalMemory &phys)
 Process &
 Os::createProcess(u64 heap_capacity)
 {
-    const Pid pid = static_cast<Pid>(processes_.size());
-    processes_.push_back(std::make_unique<Process>(pid, heap_capacity));
+    return adoptProcess(
+        std::make_unique<Process>(numProcesses(), heap_capacity));
+}
+
+Process &
+Os::adoptProcess(std::unique_ptr<Process> proc)
+{
+    PCCSIM_ASSERT(proc && proc->pid() == processes_.size(),
+                  "adopted process must take the next pid");
+    processes_.push_back(std::move(proc));
     return *processes_.back();
 }
 

@@ -122,6 +122,13 @@ class Os
     /** Create a process with the given maximum heap size. */
     Process &createProcess(u64 heap_capacity);
 
+    /**
+     * Take ownership of a process built before the OS (so its mapped
+     * footprint can size physical memory). Its pid must be the next
+     * one createProcess() would hand out.
+     */
+    Process &adoptProcess(std::unique_ptr<Process> proc);
+
     Process &process(Pid pid) { return *processes_.at(pid); }
     const Process &process(Pid pid) const { return *processes_.at(pid); }
     u32 numProcesses() const { return static_cast<u32>(processes_.size()); }

@@ -1,5 +1,7 @@
 #include "os/process.hpp"
 
+#include <algorithm>
+
 namespace pccsim::os {
 
 namespace {
@@ -20,14 +22,6 @@ Process::Process(Pid pid, u64 heap_capacity)
       heap_base_(heapBaseFor(pid)),
       brk_(heap_base_)
 {
-    const u64 regions = heap_capacity_ >> mem::kShift2M;
-    const u64 pages = heap_capacity_ >> mem::kShift4K;
-    region_state_.assign(regions, RegionState::Unbacked);
-    region_hint_.assign(regions, HugeHint::Default);
-    faulted_.assign((pages + 63) / 64, 0);
-    faulted_per_region_.assign(regions, 0);
-    touched_.assign((pages + 63) / 64, 0);
-    touched_per_region_.assign(regions, 0);
 }
 
 Addr
@@ -39,7 +33,25 @@ Process::mmap(u64 bytes, std::string name)
     const Addr base = brk_;
     brk_ += rounded;
     vmas_.push_back({base, bytes, std::move(name)});
+    cover(std::min(mem::alignUp(brk_ - heap_base_, mem::PageSize::Huge1G),
+                   heap_capacity_));
     return base;
+}
+
+void
+Process::cover(u64 bytes)
+{
+    if (bytes <= covered_)
+        return;
+    covered_ = bytes;
+    const u64 regions = bytes >> mem::kShift2M;
+    const u64 words = ((bytes >> mem::kShift4K) + 63) / 64;
+    region_state_.resize(regions, RegionState::Unbacked);
+    region_hint_.resize(regions, HugeHint::Default);
+    faulted_.resize(words, 0);
+    faulted_per_region_.resize(regions, 0);
+    touched_.resize(words, 0);
+    touched_per_region_.resize(regions, 0);
 }
 
 void

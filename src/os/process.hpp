@@ -51,8 +51,11 @@ class Process
     /**
      * @param pid Process id; determines the heap base so distinct
      *        processes occupy distinct address ranges.
-     * @param heap_capacity Maximum simulated heap (sizes the flat
-     *        bookkeeping arrays).
+     * @param heap_capacity Address-space bound on the heap: mmap()
+     *        fails past it. The flat per-region/per-page arrays start
+     *        empty and grow with the heap, in whole 1GB ranges (so a
+     *        1GB promotion over the mapped heap stays in range),
+     *        never past this bound.
      */
     Process(Pid pid, u64 heap_capacity);
 
@@ -174,7 +177,7 @@ class Process
         // Debug-only: this sits on the per-access hot path and an
         // out-of-heap vaddr is caught by mmap()/fault handling anyway.
         PCCSIM_DCHECK(vaddr >= heap_base_ &&
-                      vaddr < heap_base_ + heap_capacity_);
+                      vaddr < heap_base_ + covered_);
         return (vaddr - heap_base_) >> mem::kShift2M;
     }
 
@@ -223,12 +226,16 @@ class Process
     pageIndex(Addr vaddr) const
     {
         PCCSIM_DCHECK(vaddr >= heap_base_ &&
-                      vaddr < heap_base_ + heap_capacity_);
+                      vaddr < heap_base_ + covered_);
         return (vaddr - heap_base_) >> mem::kShift4K;
     }
 
+    /** Grow the flat arrays to cover the first `bytes` of the heap. */
+    void cover(u64 bytes);
+
     Pid pid_;
     u64 heap_capacity_;
+    u64 covered_ = 0; //!< heap bytes the flat arrays cover
     Addr heap_base_;
     Addr brk_;
     std::vector<Vma> vmas_;

@@ -1378,21 +1378,18 @@ System::run(std::vector<Job> jobs)
     }
 
     // ---- set up processes and workloads ----
-    u64 total_footprint = 0;
-    std::vector<os::Process *> procs;
-    // Create the OS late: we need footprints for auto-sizing physical
-    // memory, but processes live inside the OS. Solve by creating the
-    // OS with a deferred-size physical memory: do a dry setup pass on
-    // scratch processes first.
+    // Processes are built before the OS: their mapped footprints size
+    // physical memory and the promotion cap. Pids run 0..N-1 in job
+    // order, as createProcess would assign them.
+    std::vector<std::unique_ptr<os::Process>> built;
     u64 declared = 0;
-    {
-        for (auto &job : jobs) {
-            os::Process scratch(999, config_.heap_capacity);
-            job.workload->setup(scratch);
-            // Use the VMA-rounded footprint: promotion budgets and
-            // coverage percentages are defined over whole regions.
-            declared += scratch.footprintBytes();
-        }
+    for (u32 j = 0; j < jobs.size(); ++j) {
+        built.push_back(
+            std::make_unique<os::Process>(j, config_.heap_capacity));
+        jobs[j].workload->setup(*built.back());
+        // Use the VMA-rounded footprint: promotion budgets and
+        // coverage percentages are defined over whole regions.
+        declared += built.back()->footprintBytes();
     }
     u64 phys_bytes = config_.phys_bytes;
     if (phys_bytes == 0) {
@@ -1443,11 +1440,10 @@ System::run(std::vector<Job> jobs)
         phys_->scramble(rng);
     }
 
-    // Real setup on the real processes.
-    total_footprint = 0;
+    u64 total_footprint = 0;
+    std::vector<os::Process *> procs;
     for (u32 j = 0; j < jobs.size(); ++j) {
-        os::Process &proc = os_->createProcess(config_.heap_capacity);
-        jobs[j].workload->setup(proc);
+        os::Process &proc = os_->adoptProcess(std::move(built[j]));
         if (config_.process_setup)
             config_.process_setup(proc, j);
         total_footprint += jobs[j].workload->footprintBytes();

@@ -1,6 +1,5 @@
 #include "workloads/graph_workloads.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/log.hpp"
@@ -78,10 +77,9 @@ BfsWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
     const auto [lo, hi] = laneRange(lane, num_lanes);
 
     if (lane == 0) {
-        parent_.assign(n, kInf);
+        visited_.assign((u64(n) + 63) / 64, 0);
         next_.assign(num_lanes, {});
         frontier_.clear();
-        lanes_ready_ = 0;
     }
 
     // Init phase: first-touch this lane's slices in address order.
@@ -111,7 +109,7 @@ BfsWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
 
     if (lane == 0) {
         const NodeId src = pickSource(*graph_);
-        parent_[src] = src;
+        visited_[src >> 6] |= 1ull << (src & 63);
         frontier_.assign(1, src);
     }
     co_yield BatchEnd::Barrier;
@@ -136,8 +134,10 @@ BfsWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
                 const NodeId v = graph_->targets()[j];
                 if (buf.pushLoad(a_parent_ + u64(v) * sizeof(u32)))
                     co_yield BatchEnd::Ops;
-                if (parent_[v] == kInf) {
-                    parent_[v] = u;
+                u64 &word = visited_[v >> 6];
+                const u64 bit = 1ull << (v & 63);
+                if (!(word & bit)) {
+                    word |= bit;
                     if (buf.pushStore(a_parent_ + u64(v) * sizeof(u32)))
                         co_yield BatchEnd::Ops;
                     next_[lane].push_back(v);
@@ -297,14 +297,7 @@ Generator<BatchEnd>
 PageRankWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
 {
     PCCSIM_ASSERT(a_contrib_ != 0, "setup() must run before lane()");
-    const NodeId n = graph_->numNodes();
     const auto [lo, hi] = laneRange(lane, num_lanes);
-    constexpr double kDamping = 0.85;
-
-    if (lane == 0) {
-        contrib_.assign(n, 1.0 / n);
-        rank_.assign(n, 0.0);
-    }
 
     {
         auto t1 = touchRange(offsetAddr(lo),
@@ -333,7 +326,6 @@ PageRankWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
         for (NodeId v = lo; v < hi; ++v) {
             if (buf.pushLoad(offsetAddr(v)))
                 co_yield BatchEnd::Ops;
-            double sum = 0.0;
             const u64 e_begin = graph_->offsets()[v];
             const u64 e_end = graph_->offsets()[v + 1];
             for (u64 j = e_begin; j < e_end; ++j) {
@@ -342,9 +334,7 @@ PageRankWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
                 const NodeId u = graph_->targets()[j];
                 if (buf.pushLoad(a_contrib_ + u64(u) * sizeof(double)))
                     co_yield BatchEnd::Ops;
-                sum += contrib_[u];
             }
-            rank_[v] = (1.0 - kDamping) / n + kDamping * sum;
             if (buf.pushStore(a_rank_ + u64(v) * sizeof(double)))
                 co_yield BatchEnd::Ops;
         }
@@ -353,8 +343,6 @@ PageRankWorkload::batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf)
         for (NodeId v = lo; v < hi; ++v) {
             if (buf.pushLoad(a_rank_ + u64(v) * sizeof(double)))
                 co_yield BatchEnd::Ops;
-            const u32 deg = std::max<u32>(1, graph_->degree(v));
-            contrib_[v] = rank_[v] / deg;
             if (buf.pushStore(a_contrib_ + u64(v) * sizeof(double)))
                 co_yield BatchEnd::Ops;
         }

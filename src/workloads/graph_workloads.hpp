@@ -104,8 +104,7 @@ class BfsWorkload : public GraphWorkloadBase
     // Host-side shared state for multi-lane runs.
     std::vector<graph::NodeId> frontier_;
     std::vector<std::vector<graph::NodeId>> next_;
-    std::vector<u32> parent_;
-    u32 lanes_ready_ = 0;
+    std::vector<u64> visited_; //!< bitset: v already reached
 };
 
 /** Delta-stepping SSSP over uniformly weighted edges. */
@@ -129,7 +128,6 @@ class SsspWorkload : public GraphWorkloadBase
     std::vector<std::vector<graph::NodeId>> buckets_;
     std::vector<std::vector<graph::NodeId>> next_;
     u64 current_bucket_ = 0;
-    u32 lanes_ready_ = 0;
 };
 
 /** Pull-based PageRank for a fixed number of iterations. */
@@ -151,8 +149,6 @@ class PageRankWorkload : public GraphWorkloadBase
     u32 iterations_;
     Addr a_contrib_ = 0; //!< f64 per node — irregular HUB array
     Addr a_rank_ = 0;    //!< f64 per node, written sequentially
-    std::vector<double> contrib_;
-    std::vector<double> rank_;
 };
 
 } // namespace pccsim::workloads

@@ -102,3 +102,64 @@ TEST(ProcessDeathTest, MmapBeyondCapacityPanics)
     proc.mmap(3 * mem::kBytes2M, "a");
     EXPECT_DEATH(proc.mmap(2 * mem::kBytes2M, "b"), "heap capacity");
 }
+
+TEST(Process, StateSurvivesALaterMmap)
+{
+    Process proc(0, 4ull << 30);
+    const Addr a = proc.mmap(2 * mem::kBytes2M, "a");
+    proc.markFaulted(a + 4096);
+    proc.noteTouched(a + 8192);
+    proc.markRegionHuge(a + mem::kBytes2M);
+    proc.madvise(a, mem::kBytes2M, HugeHint::NoHuge);
+
+    // Past the first gigabyte: the flat arrays grow.
+    const Addr b = proc.mmap(mem::kBytes1G, "b");
+    proc.markFaulted(b + mem::kBytes1G - 4096);
+
+    EXPECT_TRUE(proc.faulted(a + 4096));
+    EXPECT_FALSE(proc.faulted(a));
+    EXPECT_EQ(proc.faultedInRegion(a), 1u);
+    EXPECT_EQ(proc.regionStateOf(a), RegionState::Base4K);
+    EXPECT_TRUE(proc.touched(a + 8192));
+    EXPECT_EQ(proc.touchedInRegion(a), 2u);
+    EXPECT_EQ(proc.hintOf(a), HugeHint::NoHuge);
+    EXPECT_EQ(proc.regionStateOf(a + mem::kBytes2M), RegionState::Huge2M);
+    EXPECT_EQ(proc.faultedInRegion(a + mem::kBytes2M), 512u);
+
+    EXPECT_EQ(proc.regionStateOf(b), RegionState::Unbacked);
+    EXPECT_EQ(proc.hintOf(b), HugeHint::Default);
+    EXPECT_TRUE(proc.faulted(b + mem::kBytes1G - 4096));
+    EXPECT_EQ(proc.faultedInRegion(b + mem::kBytes1G - 4096), 1u);
+}
+
+TEST(Process, OneGigabyteMarksStayInRangeForASmallHeap)
+{
+    // brk far below 1GB: a 1GB mark still spans only covered state.
+    Process proc(0, 8ull << 30);
+    const Addr a = proc.mmap(3 * mem::kBytes2M, "a");
+    ASSERT_TRUE(mem::isAligned(a, PageSize::Huge1G));
+    proc.markFaulted(a);
+    proc.markRegion1G(a);
+    EXPECT_EQ(proc.regionStateOf(a), RegionState::Huge1G);
+    EXPECT_EQ(proc.promotions1G(), 1u);
+    EXPECT_EQ(proc.promotedBytes(), mem::kBytes1G);
+    EXPECT_EQ(proc.bloatPages(), mem::kBytes1G / mem::kBytes4K - 1);
+    EXPECT_TRUE(proc.faulted(a + 2 * mem::kBytes2M + 4096));
+
+    proc.markRegion1GDemoted(a);
+    EXPECT_EQ(proc.regionStateOf(a), RegionState::Huge2M);
+    EXPECT_EQ(proc.regionStateOf(a + 2 * mem::kBytes2M),
+              RegionState::Huge2M);
+    EXPECT_EQ(proc.demotions(), 1u);
+}
+
+TEST(ProcessDeathTest, IndexPastTheMappedGigabyteIsCaughtWithDchecks)
+{
+#if defined(NDEBUG) && !defined(PCCSIM_FORCE_DCHECKS)
+    GTEST_SKIP() << "PCCSIM_DCHECK compiled out";
+#else
+    Process proc(0, 8ull << 30);
+    const Addr a = proc.mmap(mem::kBytes2M, "a");
+    EXPECT_DEATH(proc.regionIndex(a + mem::kBytes1G), "");
+#endif
+}

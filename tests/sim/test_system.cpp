@@ -151,6 +151,83 @@ TEST(System, MultiProcessRunsIsolateAddressSpaces)
               result.jobs[1].tlbMissPercent() * 5);
 }
 
+namespace {
+
+/** Forwards to a synthetic workload, counting setup() calls. */
+class CountingWorkload : public workloads::Workload
+{
+  public:
+    explicit CountingWorkload(const workloads::SyntheticSpec &spec)
+        : inner_(spec)
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+
+    void
+    setup(os::Process &proc) override
+    {
+        ++setups;
+        pids.push_back(proc.pid());
+        inner_.setup(proc);
+    }
+
+    u64 footprintBytes() const override { return inner_.footprintBytes(); }
+
+    Generator<workloads::BatchEnd>
+    batchLane(u32 lane, u32 num_lanes,
+              workloads::AccessBuffer &buf) override
+    {
+        return inner_.batchLane(lane, num_lanes, buf);
+    }
+
+    u32 setups = 0;
+    std::vector<Pid> pids; //!< pid of each process setup() ran on
+
+  private:
+    workloads::SyntheticWorkload inner_;
+};
+
+} // namespace
+
+TEST(System, SetupRunsOncePerJobAndSizesMemoryFromIt)
+{
+    workloads::SyntheticSpec a = hotSpec();
+    a.footprint_bytes = (24ull << 20) + 4096; // VMA rounds to 26MB
+    a.ops = 20'000;
+    workloads::SyntheticSpec b = hotSpec();
+    b.footprint_bytes = 40ull << 20;
+    b.ops = 20'000;
+    CountingWorkload wa(a);
+    CountingWorkload wb(b);
+
+    SystemConfig cfg = ciConfig(PolicyKind::Pcc);
+    cfg.num_cores = 2;
+    cfg.phys_headroom = 20.0; // makes phys size track the footprint
+    cfg.promotion_cap_percent = 10.0;
+    System system(cfg);
+    system.run({{&wa, 1}, {&wb, 1}});
+
+    EXPECT_EQ(wa.setups, 1u);
+    EXPECT_EQ(wb.setups, 1u);
+    EXPECT_EQ(wa.pids, std::vector<Pid>{0});
+    EXPECT_EQ(wb.pids, std::vector<Pid>{1});
+    ASSERT_EQ(system.os().numProcesses(), 2u);
+    EXPECT_EQ(system.os().process(1).heapBase(),
+              os::Process(1, cfg.heap_capacity).heapBase());
+
+    // Sized from the VMA-rounded footprints of the one setup pass.
+    const u64 declared = (26ull + 40ull) << 20;
+    const u64 phys = mem::alignUp(
+        static_cast<u64>(static_cast<double>(declared) * 20.0) +
+            (64ull << 20),
+        mem::PageSize::Huge1G);
+    EXPECT_EQ(phys, 2ull << 30);
+    EXPECT_EQ(system.phys()->totalFrames(), phys / mem::kBytes4K);
+    EXPECT_EQ(system.os().params().promotion_cap_bytes,
+              mem::alignUp(declared / 10, mem::PageSize::Huge2M));
+}
+
 TEST(SystemDeathTest, MoreLanesThanCoresPanics)
 {
     workloads::SyntheticWorkload w(hotSpec());
