@@ -263,6 +263,11 @@ writePerfReport()
     resilience.set("quarantined", stats.quarantined);
     resilience.set("retries", stats.retries);
     resilience.set("memo_discards", sim::Runner::globalMemoDiscards());
+    // Shared data-cache work (sim/cache_tape.hpp); informational, like
+    // the rest of this object.
+    resilience.set("cache_tape_records", stats.cache_tape_records);
+    resilience.set("cache_tape_replays", stats.cache_tape_replays);
+    resilience.set("cache_tape_bytes", stats.cache_tape_bytes);
     doc.set("runner", std::move(resilience));
 
     telemetry::Json host = telemetry::Json::object();

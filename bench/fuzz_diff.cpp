@@ -2,7 +2,8 @@
  * @file
  * Differential fuzzing driver (sim/fuzz.hpp): seeded random
  * configuration points, each checked against the reference oracle, for
- * oracle result-neutrality, and for serial-vs-parallel determinism.
+ * oracle result-neutrality, for serial-vs-parallel determinism, and
+ * for result-neutral sharing of data-cache work inside a Runner.
  * Failures are shrunk to a minimal repro and printed as a spec string
  * that `--spec="..."` re-runs verbatim.
  *
@@ -10,7 +11,7 @@
  *   fuzz_diff --spec="fz1 pat=seq ..."            re-run one repro
  *   fuzz_diff --mutation=skip-l2-fill             self-test: plant the
  *   fuzz_diff --mutation=stale-ltc                named hot-path bug,
- *                                                 require the oracle to
+ *   fuzz_diff --mutation=tape-miscount            require a gate to
  *                                                 catch it, and shrink
  *
  * Exit status: 0 when every iteration passes (or the planted bug is
@@ -27,7 +28,7 @@ using namespace pccsim;
 
 namespace {
 
-/** A spec that reliably trips either planted hot-path mutation. */
+/** A spec that reliably trips the named planted hot-path mutation. */
 sim::FuzzSpec
 mutationSpec(sim::HotPathMutation mutation)
 {
@@ -55,6 +56,14 @@ mutationSpec(sim::HotPathMutation mutation)
         spec.policy = sim::PolicyKind::Pcc;
         spec.interval_accesses = 1'000;
         break;
+      case sim::HotPathMutation::TapeMiscount:
+        // Any spec that records a data-cache tape: the sharing gate's
+        // replay inherits the miscounted cycle, the standalone run
+        // does not.
+        spec.pattern = "uniform";
+        spec.footprint_mb = 8;
+        spec.policy = sim::PolicyKind::Pcc;
+        break;
       case sim::HotPathMutation::None:
         break;
     }
@@ -70,15 +79,17 @@ runMutationSelfTest(const std::string &name, u32 jobs)
         mutation = sim::HotPathMutation::SkipL2Fill;
     else if (name == "stale-ltc")
         mutation = sim::HotPathMutation::StaleLtc;
+    else if (name == "tape-miscount")
+        mutation = sim::HotPathMutation::TapeMiscount;
     else
         fatal("unknown --mutation=", name,
-              " (skip-l2-fill|stale-ltc)");
+              " (skip-l2-fill|stale-ltc|tape-miscount)");
 
     const sim::FuzzSpec planted = mutationSpec(mutation);
     std::printf("planted:  %s\n", planted.toString().c_str());
     const auto failure = sim::checkSpec(planted, jobs);
     if (!failure) {
-        std::printf("FAIL: oracle did not catch the planted bug\n");
+        std::printf("FAIL: no gate caught the planted bug\n");
         return 1;
     }
     std::printf("caught:   [%s] %s\n", failure->kind.c_str(),

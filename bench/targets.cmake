@@ -57,3 +57,4 @@ pcc_micro(micro_walker)
 pcc_micro(micro_cache)
 pcc_micro(micro_graph)
 pcc_micro(micro_setup)
+pcc_micro(micro_sweep)

@@ -12,7 +12,9 @@ Each baseline under bench/baselines/*.json records how it was produced
            (keys ending in "_ns_per_access") beyond a relative
            tolerance (--tolerance, default 0.5 = +50%), since shared
            hosts are noisy. Faster is never a failure. Remaining perf
-           keys (counts, totals) are informational.
+           keys (counts, totals) are informational, and keys the
+           baseline does not have (e.g. runner.cache_tape_*) are
+           ignored.
 
 Exit status: 0 when every baseline matches, 1 on any simulation
 difference or per-access regression, 2 on usage/setup errors.

@@ -14,7 +14,8 @@
 #   address | asan        full suite under AddressSanitizer (+ leaks)
 #   undefined | ubsan     full suite under UBSan
 #   thread | tsan         ThreadSanitizer on the concurrent machinery
-#                         (test_runner + the ThreadPool tests)
+#                         (the Runner, SpecKey, ThreadPool and cache
+#                         tape store tests)
 #   determinism           fig06_pcc_size --scale=ci --jobs=4 must emit
 #                         byte-identical CSV to --jobs=1
 #   telemetry             fig06 with --telemetry/--trace exports must
@@ -37,9 +38,10 @@
 #                         estimates on bfs + mcf must land within
 #                         max(2 x CI95, 0.5 points) of exact runs
 #   fuzz                  50 seeded fuzz_diff iterations (differential
-#                         oracle + serial-vs-parallel) must find zero
-#                         divergences, and both planted hot-path bugs
-#                         must be caught and shrunk
+#                         oracle + serial-vs-parallel + shared cache
+#                         tapes) must find zero divergences, and all
+#                         three planted hot-path bugs must be caught
+#                         and shrunk
 #   resume                a SIGKILL'd fig06 sweep restarted with
 #                         --resume must complete byte-identical to an
 #                         uninterrupted run, serving the journaled
@@ -287,11 +289,12 @@ run_fuzz() {
     cmake -B build-det -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     echo "==> [fuzz] building fuzz_diff"
     cmake --build build-det -j "$(nproc)" --target fuzz_diff >/dev/null
-    echo "==> [fuzz] 50 seeded iterations (oracle + parallel diff)"
+    echo "==> [fuzz] 50 seeded iterations (oracle + parallel + sharing)"
     ./build-det/bench/fuzz_diff --iters=50 --seed=1
     echo "==> [fuzz] planted-bug self-tests"
     ./build-det/bench/fuzz_diff --mutation=skip-l2-fill
     ./build-det/bench/fuzz_diff --mutation=stale-ltc
+    ./build-det/bench/fuzz_diff --mutation=tape-miscount
     echo "==> [fuzz] clean"
 }
 
@@ -539,10 +542,11 @@ for gate in "${gates[@]}"; do
         # TSan's value is in the concurrent machinery: the runner, its
         # thread pool, and the shared state they guard. Restricting the
         # run keeps the gate fast while covering every code path the
-        # workers touch (each runner test executes whole simulations).
+        # workers touch (each runner test executes whole simulations),
+        # plus the data-cache tape store the workers share.
         TSAN_OPTIONS="halt_on_error=1" \
             ctest --test-dir "$dir" --output-on-failure \
-                -R '^(Runner\.|SpecKey\.|ThreadPool\.)' \
+                -R '^(Runner\.|SpecKey\.|ThreadPool\.|CacheTapeStore\.|CacheTape\.ParallelRunner)' \
                 -j "$(nproc)"
     else
         # halt_on_error makes UBSan failures fail the test run instead

@@ -1,0 +1,109 @@
+/**
+ * @file
+ * Data-cache cycle tapes: the data cache's cost of a run, recorded once
+ * and replayed by every later run on the same access stream.
+ *
+ * The per-core data cache is virtually indexed, never flushed, and —
+ * with page-table fetches charged as constants — probed exactly once
+ * per simulated access. Its input is therefore the core's access
+ * stream alone, which the workload fixes before any policy acts: every
+ * policy run of one workload on one cache geometry computes the same
+ * cache cycles. The System folds those cycles into the core clock at
+ * segment ends (the end of each chunk, and before each policy
+ * interval); a tape holds one entry per segment, so a later run can
+ * add the taped cycles instead of simulating the cache.
+ *
+ * Replays are checked, not trusted: each segment carries its length
+ * and an address fingerprint (the sum of its line numbers), and a
+ * replaying run that sees a different segment throws
+ * CacheTapeMismatch and drops the tape from its store.
+ */
+
+#pragma once
+
+#include <deque>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/types.hpp"
+
+namespace pccsim::sim {
+
+/** One segment of one core's data-cache work. */
+struct CacheTapeSegment
+{
+    u64 fingerprint = 0; //!< sum of the segment's line numbers
+    Cycles cycles = 0;   //!< data-cache latency summed over the segment
+    u32 length = 0;      //!< data-cache accesses in the segment
+};
+
+/** A run's data-cache work: one segment list per core. */
+struct CacheTape
+{
+    std::vector<std::vector<CacheTapeSegment>> cores;
+
+    /** Heap bytes the segment lists hold (the store's budget unit). */
+    size_t bytes() const;
+};
+
+/** Thrown when a replayed segment does not match the run's stream. */
+class CacheTapeMismatch : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Tapes shared by the runs of one sim::Runner, keyed by (access
+ * stream, final cache config). Thread-safe; a replaying run holds its
+ * tape by shared_ptr, so eviction never pulls one out from under it.
+ * The store keeps at most kBudgetBytes of tapes and evicts the oldest
+ * first.
+ */
+class CacheTapeStore
+{
+  public:
+    static constexpr size_t kBudgetBytes = 32u << 20;
+
+    struct Stats
+    {
+        u64 records = 0; //!< tapes published
+        u64 replays = 0; //!< runs that completed on a tape
+        u64 bytes = 0;   //!< tape bytes held now
+    };
+
+    /** The tape under `key`, or null. */
+    std::shared_ptr<const CacheTape> find(const std::string &key) const;
+
+    /**
+     * Keep `tape` under `key` unless one is already there (a parallel
+     * sibling recorded the same stream) or it alone exceeds the budget.
+     */
+    void publish(const std::string &key,
+                 std::shared_ptr<const CacheTape> tape);
+
+    /** Drop the tape under `key` if it is still `tape`. */
+    void drop(const std::string &key, const CacheTape *tape);
+
+    /** Count a run that completed on a replayed tape. */
+    void noteReplay();
+
+    /** Keys held, oldest first (tests and diagnostics). */
+    std::vector<std::string> keys() const;
+
+    Stats stats() const;
+
+  private:
+    void eraseLocked(const std::string &key);
+
+    mutable std::mutex mutex_;
+    std::map<std::string, std::shared_ptr<const CacheTape>> tapes_;
+    std::deque<std::string> order_; //!< publication order, oldest first
+    Stats stats_;
+};
+
+} // namespace pccsim::sim

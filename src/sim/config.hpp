@@ -42,6 +42,9 @@ enum class HotPathMutation : u8
     StaleLtc,
     /** Walk misses refill only the L1 TLB, never the unified L2. */
     SkipL2Fill,
+    /** A recorded data-cache tape (sim/cache_tape.hpp) miscounts its
+     *  first segment by one cycle, so only runs replaying it drift. */
+    TapeMiscount,
 };
 
 /**

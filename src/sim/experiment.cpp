@@ -84,14 +84,15 @@ runOne(const ExperimentSpec &spec)
 
 RunResult
 runOne(const ExperimentSpec &spec, std::atomic<u64> *progress,
-       const std::atomic<bool> *cancel)
+       const std::atomic<bool> *cancel, CacheTapeStore *tapes)
 {
     auto workload = workloads::makeWorkload(spec.workload);
     SystemConfig cfg = configFor(spec);
     cfg.progress = progress;
     cfg.cancel = cancel;
     System system(std::move(cfg));
-    return system.run(*workload, spec.lanes);
+    return system.run(*workload, spec.lanes, tapes,
+                      tapes ? workloadKey(spec) : std::string());
 }
 
 const std::vector<double> &

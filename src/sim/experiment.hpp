@@ -101,10 +101,13 @@ RunResult runOne(const ExperimentSpec &spec);
  * Run one experiment under cooperative supervision: `progress` (may be
  * null) receives the simulated-access count as the run advances, and
  * setting `cancel` makes the run throw CancelledError at the next
- * batch boundary. Used by the resilient runner's watchdog.
+ * batch boundary. Used by the resilient runner's watchdog. `tapes`
+ * (may be null) is the Runner's data-cache tape store the run shares
+ * work through (System::run).
  */
 RunResult runOne(const ExperimentSpec &spec, std::atomic<u64> *progress,
-                 const std::atomic<bool> *cancel);
+                 const std::atomic<bool> *cancel,
+                 CacheTapeStore *tapes = nullptr);
 
 /** The paper's utility-curve x-axis: 0,1,2,4,...,64 and ~100 (%). */
 const std::vector<double> &utilityCaps();

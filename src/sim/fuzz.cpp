@@ -122,7 +122,7 @@ FuzzSpec::parse(const std::string &text)
             ok = parseU64(value, spec.shock_period);
         } else if (key == "mut") {
             ok = parseU64(value, u) &&
-                 u <= static_cast<u64>(HotPathMutation::SkipL2Fill);
+                 u <= static_cast<u64>(HotPathMutation::TapeMiscount);
             spec.mutation = static_cast<HotPathMutation>(u);
         } else {
             return std::nullopt; // unknown key: wrong/newer format
@@ -229,8 +229,9 @@ checkSpec(const FuzzSpec &spec, u32 jobs)
     }
 
     // Gate 2: the oracle must be result-neutral.
+    RunResult plain;
     try {
-        const RunResult plain = runOne(spec.toExperiment());
+        plain = runOne(spec.toExperiment());
         if (!(plain == checked)) {
             return FuzzFailure{
                 spec, "neutrality",
@@ -261,6 +262,27 @@ checkSpec(const FuzzSpec &spec, u32 jobs)
                         std::to_string(i) + " (seed " +
                         std::to_string(spec.seed + i) + ")"};
             }
+        }
+    } catch (const std::exception &e) {
+        return FuzzFailure{spec, "error", e.what()};
+    }
+
+    // Gate 4: shared data-cache work is result-neutral. A sibling that
+    // differs only in policy and cap runs first in the same Runner, so
+    // the spec replays the sibling's data-cache tape instead of
+    // simulating the cache; it must still match the standalone run.
+    try {
+        FuzzSpec sibling = spec;
+        sibling.policy = spec.policy == PolicyKind::Base ? PolicyKind::Pcc
+                                                         : PolicyKind::Base;
+        sibling.cap_percent = spec.cap_percent >= 0.0 ? -1.0 : 25.0;
+        Runner shared(1);
+        shared.run(sibling.toExperiment());
+        if (!(*shared.run(spec.toExperiment()) == plain)) {
+            return FuzzFailure{
+                spec, "sharing",
+                "a run replaying its sibling's data-cache tape differs "
+                "from the standalone run"};
         }
     } catch (const std::exception &e) {
         return FuzzFailure{spec, "error", e.what()};

@@ -6,13 +6,16 @@
  * space: a parameterized synthetic workload plus the SystemConfig
  * switches that have historically harboured bugs (policies, caps,
  * fragmentation, fault-injection schedules, telemetry, invariant
- * sweeps). checkSpec() runs three independent correctness gates over
+ * sweeps). checkSpec() runs four independent correctness gates over
  * one spec:
  *
  *  1. the differential oracle in full lockstep (sim/oracle.hpp);
  *  2. result-neutrality of the oracle itself (oracle-on == oracle-off);
  *  3. serial-vs-parallel determinism (Runner(1) vs Runner(jobs) over a
- *     small batch of seed variants, compared result-for-result).
+ *     small batch of seed variants, compared result-for-result);
+ *  4. result-neutrality of shared data-cache work: the spec run in one
+ *     Runner right after a sibling differing only in policy and cap
+ *     (so it replays the sibling's cache tape) equals a standalone run.
  *
  * Everything is seeded: iteration i of a campaign is a pure function of
  * (campaign seed, i), and every failure is reported as a spec string
@@ -78,13 +81,14 @@ FuzzSpec randomSpec(u64 campaign_seed, u64 iteration);
 struct FuzzFailure
 {
     FuzzSpec spec;
-    /** Gate that tripped: oracle | neutrality | parallel | error. */
+    /** Gate that tripped: oracle | neutrality | parallel | sharing |
+        error. */
     std::string kind;
     std::string detail;
 };
 
 /**
- * Run all three gates over one spec. Returns the first failure, or
+ * Run all four gates over one spec. Returns the first failure, or
  * nullopt when the spec passes. `jobs` sizes the parallel runner of
  * gate 3 (>= 2 to actually exercise the pool).
  */

@@ -37,16 +37,24 @@ to_string(JobFail fail)
 }
 
 std::string
+workloadKey(const ExperimentSpec &spec)
+{
+    std::ostringstream os;
+    const auto &w = spec.workload;
+    os << w.name << '|' << static_cast<int>(w.scale) << '|'
+       << static_cast<int>(w.network) << '|' << w.dbg_sorted << '|'
+       << w.seed << '|' << spec.lanes;
+    return os.str();
+}
+
+std::string
 specKey(const ExperimentSpec &spec)
 {
     if (spec.tweak && spec.tweak_key.empty())
         return {};
     std::ostringstream os;
     os.precision(17);
-    const auto &w = spec.workload;
-    os << w.name << '|' << static_cast<int>(w.scale) << '|'
-       << static_cast<int>(w.network) << '|' << w.dbg_sorted << '|'
-       << w.seed << '|' << spec.lanes << '|'
+    os << workloadKey(spec) << '|'
        << static_cast<int>(spec.policy) << '|' << spec.cap_percent
        << '|' << spec.frag_fraction;
     const auto &p = spec.pcc_policy;
@@ -134,6 +142,10 @@ Runner::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats snapshot = stats_;
+    const CacheTapeStore::Stats tapes = tapes_.stats();
+    snapshot.cache_tape_records = tapes.records;
+    snapshot.cache_tape_replays = tapes.replays;
+    snapshot.cache_tape_bytes = tapes.bytes;
     snapshot.worker_busy_nanos.clear();
     snapshot.worker_busy_nanos.reserve(worker_busy_.size());
     for (const auto &[tid, busy] : worker_busy_)
@@ -157,7 +169,7 @@ Runner::simulate(const ExperimentSpec &spec, const std::string &key,
     const u64 t0 = nowNanos();
     auto result = std::make_shared<const RunResult>(
         runOne(spec, supervision ? &supervision->progress : nullptr,
-               supervision ? &supervision->cancel : nullptr));
+               supervision ? &supervision->cancel : nullptr, &tapes_));
     const u64 elapsed = nowNanos() - t0;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.simulated;

@@ -14,6 +14,10 @@
  *  - memoization: results are cached across calls under a canonical
  *    spec key, so BaselineCache, geomeanSpeedup and the figure
  *    harnesses all share one simulation per distinct spec;
+ *  - shared data-cache work: runs that differ only in policy feed
+ *    their data caches the same access stream, so the first run on a
+ *    (stream, cache config) records a cycle tape and the rest replay
+ *    it instead of simulating the cache (sim/cache_tape.hpp);
  *  - persistence: with RunnerOptions::journal_path set, completed
  *    results are appended to a crash-consistent on-disk journal
  *    (sim/journal.hpp) and preloaded into the memo at construction, so
@@ -48,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/cache_tape.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "telemetry/tail.hpp"
@@ -63,6 +68,14 @@ namespace pccsim::sim {
  * specs with an unkeyed tweak (not memoizable).
  */
 std::string specKey(const ExperimentSpec &spec);
+
+/**
+ * The access-stream part of specKey(): the workload spec and lanes.
+ * Runs with equal workload keys feed their cores identical access
+ * streams whatever their policy, which is what lets a Runner share
+ * data-cache tapes (sim/cache_tape.hpp) between them.
+ */
+std::string workloadKey(const ExperimentSpec &spec);
 
 /** Construction-time configuration of a Runner. */
 struct RunnerOptions
@@ -170,6 +183,11 @@ class Runner
         u64 journal_skipped = 0;   //!< unserializable results not persisted
         u64 quarantined = 0;       //!< guarded jobs that failed for good
         u64 retries = 0;           //!< guarded re-attempts taken
+
+        // ---- shared data-cache work (sim/cache_tape.hpp) ----
+        u64 cache_tape_records = 0; //!< tapes recorded and kept
+        u64 cache_tape_replays = 0; //!< runs completed on a tape
+        u64 cache_tape_bytes = 0;   //!< tape bytes held now
     };
 
     Stats stats() const;
@@ -234,6 +252,13 @@ class Runner
     RunnerOptions options_;
     std::unique_ptr<util::ThreadPool> pool_; //!< created when jobs_ > 1
     std::unique_ptr<ResultJournal> journal_;
+
+    /**
+     * Data-cache tapes shared by this runner's simulations: the first
+     * run on a (stream, cache config) records one, later runs replay
+     * it. Lives exactly as long as the memo.
+     */
+    CacheTapeStore tapes_;
 
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const RunResult>> memo_;

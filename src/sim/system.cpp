@@ -1,7 +1,9 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <sstream>
 
 #include "os/policy_registry.hpp"
 #include "sim/invariants.hpp"
@@ -340,6 +342,13 @@ System::System(SystemConfig config) : config_(std::move(config))
         }
     }
     PCCSIM_ASSERT(config_.num_cores >= 1);
+    // Tape fingerprints sum line numbers at the finest line any level
+    // indexes by: two streams with equal sums then agree on every
+    // level's input as far as a cheap check can tell.
+    const u32 min_line = std::min({config_.cache.l1.line_bytes,
+                                   config_.cache.l2.line_bytes,
+                                   config_.cache.llc.line_bytes});
+    line_shift_ = min_line == 0 ? 0 : std::countr_zero(min_line);
     cores_.reserve(config_.num_cores);
     for (u32 c = 0; c < config_.num_cores; ++c)
         cores_.emplace_back(config_);
@@ -781,7 +790,7 @@ System::chargeWalkRefs(CoreState &core, const os::Process &proc,
     return cost;
 }
 
-Cycles
+System::AccessCost
 System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                  bool write)
 {
@@ -808,12 +817,12 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr, filled);
         }
-        cost += core.dcache.access(vaddr);
+        const Cycles data = touchData(core, vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::Fault,
-                       cost, 0, fault_cost);
+                       cost + data, 0, fault_cost);
         }
-        return cost;
+        return {cost, data};
     }
 
     // Last-translation fast path: the page is still L1-resident and
@@ -828,12 +837,12 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr);
         }
-        cost += core.dcache.access(vaddr);
+        const Cycles data = touchData(core, vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::L1,
-                       cost, 0, 0);
+                       cost + data, 0, 0);
         }
-        return cost;
+        return {cost, data};
     }
 
     const mem::PageSize size = proc.mappingSizeOf(vaddr);
@@ -878,15 +887,81 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                           proc.pid(), vaddr, size, level);
     }
     core.noteTranslated(vaddr, size);
-    cost += core.dcache.access(vaddr);
+    const Cycles data = touchData(core, vaddr);
     if (tel_tail_) {
         const telemetry::TailOutcome outcome =
             level == tlb::HitLevel::Miss ? telemetry::TailOutcome::Walk
             : level == tlb::HitLevel::L2 ? telemetry::TailOutcome::L2
                                          : telemetry::TailOutcome::L1;
-        recordTail(core, proc, vaddr, outcome, cost, walk_cost, 0);
+        recordTail(core, proc, vaddr, outcome, cost + data, walk_cost, 0);
     }
-    return cost;
+    return {cost, data};
+}
+
+void
+System::endSegment(CoreState &core, Cycles data, const Addr *addrs,
+                   u32 length)
+{
+    if (length == 0)
+        return;
+    if (core.tape_out || tape_replaying_) {
+        // Every detailed access probes the data cache once, so the
+        // segment's cache input is exactly these addresses.
+        u64 fingerprint = 0;
+        for (u32 i = 0; i < length; ++i)
+            fingerprint += addrs[i] >> line_shift_;
+        if (core.tape_out) {
+            CacheTapeSegment segment{fingerprint, data, length};
+            if (config_.mutation == HotPathMutation::TapeMiscount &&
+                &core == &cores_[0] && core.tape_out->empty())
+                ++segment.cycles;
+            core.tape_out->push_back(segment);
+        } else {
+            if (core.tape_next == core.tape_end)
+                tapeMismatch(core, "the run outlasts its tape");
+            if (core.tape_next->length != length ||
+                core.tape_next->fingerprint != fingerprint) {
+                tapeMismatch(core, "a segment differs from its tape entry");
+            }
+            data = core.tape_next->cycles;
+            ++core.tape_next;
+        }
+    }
+    core.cycles += data;
+}
+
+void
+System::tapeMismatch(const CoreState &core, const std::string &what)
+{
+    tape_store_->drop(tape_key_, tape_replaying_.get());
+    throw CacheTapeMismatch(
+        "data-cache tape mismatch on core " +
+        std::to_string(&core - cores_.data()) + " after " +
+        std::to_string(total_accesses_) + " accesses: " + what);
+}
+
+std::string
+System::cacheTapeKey(const std::string &stream_key) const
+{
+    // Everything besides the stream that shapes the cache's input or
+    // the segment boundaries, read from the final config: hw backends
+    // (victima-reach reshapes the L2 data cache) and policy prepare
+    // hooks have already been applied.
+    std::ostringstream os;
+    os << stream_key << "|cores=" << config_.num_cores;
+    const cache::CacheHierarchy::Config &c = config_.cache;
+    for (const cache::CacheParams *level : {&c.l1, &c.l2, &c.llc}) {
+        os << '|' << level->size_bytes << ',' << level->ways << ','
+           << level->line_bytes;
+    }
+    os << "|lat=" << c.latencies.l1 << ',' << c.latencies.l2 << ','
+       << c.latencies.llc << ',' << c.latencies.dram << '|' << c.enabled
+       << "|batch=" << config_.batch_capacity
+       << "|iv=" << config_.interval_accesses
+       << "|sample=" << config_.sampling.window << ':'
+       << config_.sampling.fastforward
+       << "|mut=" << static_cast<int>(config_.mutation);
+    return os.str();
 }
 
 void
@@ -1011,9 +1086,11 @@ System::runScalarLoop(std::vector<Cycles> &job_wall,
                     maybeReleaseBarrier(lane.job);
                     break;
                 }
-                core.cycles += doAccess(
+                const AccessCost cost = doAccess(
                     core, proc, op.addr,
                     op.kind == workloads::OpKind::Store);
+                core.cycles += cost.core;
+                endSegment(core, cost.data, &op.addr, 1);
                 ++total_accesses_;
                 if (total_accesses_ >= next_interval_at_)
                     onInterval(total_lanes);
@@ -1134,16 +1211,29 @@ System::runBatchLoop(std::vector<Cycles> &job_wall,
                 const u8 *kinds = buf.kinds() + lane.consumed;
                 if (!sampled ||
                     sample_phase_ != SamplePhase::FastForward) {
+                    // The open segment: its first access and its
+                    // data-cache cycles.
+                    u32 seg_begin = 0;
+                    Cycles seg_data = 0;
                     for (u32 i = 0; i < chunk; ++i) {
-                        core.cycles += doAccess(
+                        const AccessCost cost = doAccess(
                             core, proc, addrs[i],
                             kinds[i] ==
                                 static_cast<u8>(
                                     workloads::OpKind::Store));
+                        core.cycles += cost.core;
+                        seg_data += cost.data;
                         ++total_accesses_;
-                        if (total_accesses_ >= next_interval_at_)
+                        if (total_accesses_ >= next_interval_at_) {
+                            endSegment(core, seg_data, addrs + seg_begin,
+                                       i + 1 - seg_begin);
+                            seg_begin = i + 1;
+                            seg_data = 0;
                             onInterval(total_lanes);
+                        }
                     }
+                    endSegment(core, seg_data, addrs + seg_begin,
+                               chunk - seg_begin);
                     if (sampled)
                         detailed_total_ += chunk;
                 } else {
@@ -1355,7 +1445,8 @@ System::sumCycles() const
 }
 
 RunResult
-System::run(std::vector<Job> jobs)
+System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
+            const std::string &stream_key)
 {
     if (util::Status status = config_.validate(); !status.ok())
         fatal("invalid SystemConfig: ", status.toString());
@@ -1550,6 +1641,35 @@ System::run(std::vector<Job> jobs)
     for (const auto &lane : lanes_)
         ++job_live[lane.job];
 
+    // ---- data-cache tape ----
+    // Ineligible: walks that fetch page-table lines through the data
+    // cache (its input then depends on the policy), tail histograms
+    // (they need every access's own latency), and the scalar and
+    // tenant engines (reference and shared-core paths).
+    tape_store_ = nullptr;
+    tape_recording_.reset();
+    tape_replaying_.reset();
+    if (tapes && config_.batch_engine && !tenant_mode &&
+        !config_.timing.pt_through_dcache && !tel_tail_) {
+        tape_store_ = tapes;
+        tape_key_ = cacheTapeKey(stream_key);
+        tape_replaying_ = tapes->find(tape_key_);
+        if (tape_replaying_) {
+            // The key names the core count.
+            PCCSIM_ASSERT(tape_replaying_->cores.size() == cores_.size());
+            for (size_t c = 0; c < cores_.size(); ++c) {
+                const auto &segments = tape_replaying_->cores[c];
+                cores_[c].tape_next = segments.data();
+                cores_[c].tape_end = segments.data() + segments.size();
+            }
+        } else {
+            tape_recording_ = std::make_shared<CacheTape>();
+            tape_recording_->cores.resize(cores_.size());
+            for (size_t c = 0; c < cores_.size(); ++c)
+                cores_[c].tape_out = &tape_recording_->cores[c];
+        }
+    }
+
     // ---- main scheduling loop ----
     {
         const u64 now = util::HostProfile::nowNanos();
@@ -1565,6 +1685,19 @@ System::run(std::vector<Job> jobs)
     // ---- collect results ----
     util::HostProfile::global().add(
         "simulate", util::HostProfile::nowNanos() - phase_t0);
+    if (tape_replaying_) {
+        for (const CoreState &core : cores_) {
+            if (core.tape_next != core.tape_end)
+                tapeMismatch(core, "the run ends before its tape");
+        }
+        tape_store_->noteReplay();
+    } else if (tape_recording_) {
+        for (CoreState &core : cores_) {
+            core.tape_out->shrink_to_fit();
+            core.tape_out = nullptr;
+        }
+        tape_store_->publish(tape_key_, std::move(tape_recording_));
+    }
     if (config_.check_invariants)
         runInvariantChecks(); // final sweep over the end state
     if (oracle_) {

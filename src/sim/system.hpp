@@ -24,6 +24,7 @@
 #include "os/policy.hpp"
 #include "pcc/pcc_unit.hpp"
 #include "pt/walker.hpp"
+#include "sim/cache_tape.hpp"
 #include "sim/config.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/results.hpp"
@@ -52,14 +53,24 @@ class System : public os::PolicyContext
     explicit System(SystemConfig config);
     ~System() override;
 
-    /** Run the jobs to completion and report metrics. */
-    RunResult run(std::vector<Job> jobs);
+    /**
+     * Run the jobs to completion and report metrics. With `tapes`, the
+     * run shares data-cache work (sim/cache_tape.hpp): it replays the
+     * tape stored for its (stream, final cache config) key, or records
+     * and publishes one. `stream_key` must name the jobs' access
+     * streams — their workload specs and lanes, as
+     * workloadKey(ExperimentSpec) does. Runs whose cache input depends
+     * on more than the stream (see DESIGN.md) ignore `tapes`.
+     */
+    RunResult run(std::vector<Job> jobs, CacheTapeStore *tapes = nullptr,
+                  const std::string &stream_key = {});
 
     /** Convenience: run one workload on `lanes` cores. */
     RunResult
-    run(workloads::Workload &workload, u32 lanes = 1)
+    run(workloads::Workload &workload, u32 lanes = 1,
+        CacheTapeStore *tapes = nullptr, const std::string &stream_key = {})
     {
-        return run(std::vector<Job>{{&workload, lanes}});
+        return run(std::vector<Job>{{&workload, lanes}}, tapes, stream_key);
     }
 
     // ---- os::PolicyContext ----
@@ -92,6 +103,10 @@ class System : public os::PolicyContext
         pcc::PccUnit pcc;
         cache::CacheHierarchy dcache;
         Cycles cycles = 0;
+        /** Tape this core records into, or replays from. */
+        std::vector<CacheTapeSegment> *tape_out = nullptr;
+        const CacheTapeSegment *tape_next = nullptr;
+        const CacheTapeSegment *tape_end = nullptr;
         /** Cycles spent in page-table walks (sampling window stats). */
         Cycles walk_cycles = 0;
         u64 accesses = 0;
@@ -177,9 +192,48 @@ class System : public os::PolicyContext
         FastForward = 2,
     };
 
-    /** Simulate one access on a core; returns its cycle cost. */
-    Cycles doAccess(CoreState &core, os::Process &proc, Addr vaddr,
-                    bool write);
+    /**
+     * One access's cycle cost, split: the data cache's share joins the
+     * core's open segment and reaches the clock at its end.
+     */
+    struct AccessCost
+    {
+        Cycles core = 0; //!< everything but the data-cache probe
+        Cycles data = 0; //!< the data-cache probe (0 when replaying)
+    };
+
+    /** Simulate one access on a core. */
+    AccessCost doAccess(CoreState &core, os::Process &proc, Addr vaddr,
+                        bool write);
+
+    /**
+     * The data-cache probe of one access: its latency, or 0 when
+     * replaying a tape, which skips the cache.
+     */
+    Cycles
+    touchData(CoreState &core, Addr vaddr)
+    {
+        return tape_replaying_ ? 0 : core.dcache.access(vaddr);
+    }
+
+    /**
+     * Close the core's open segment, the `length` detailed accesses
+     * at `addrs` whose data-cache probes cost `data` cycles: record
+     * it to, or check it against and take its cycles from, the tape,
+     * then add the segment's data-cache cycles to the core clock.
+     * Called at the end of every chunk (the scalar engine: every
+     * access) and before onInterval, so every reader of a core clock
+     * sees it exact.
+     */
+    void endSegment(CoreState &core, Cycles data, const Addr *addrs,
+                    u32 length);
+
+    /** Drop the replayed tape from its store and throw. */
+    [[noreturn]] void tapeMismatch(const CoreState &core,
+                                   const std::string &what);
+
+    /** Store key of this run's tape: stream + final cache config. */
+    std::string cacheTapeKey(const std::string &stream_key) const;
 
     /**
      * Fast-forward one access: page tables, access bits, and (rate-
@@ -284,6 +338,14 @@ class System : public os::PolicyContext
     u64 invariant_failures_ = 0;
     std::string first_invariant_failure_;
     os::PromotionTrace recorded_;
+
+    // ---- data-cache tape (sim/cache_tape.hpp) ----
+    /** log2 of the smallest cache line: the fingerprint's granule. */
+    u32 line_shift_ = 0;
+    CacheTapeStore *tape_store_ = nullptr;
+    std::string tape_key_;
+    std::shared_ptr<CacheTape> tape_recording_;
+    std::shared_ptr<const CacheTape> tape_replaying_;
 
     // ---- sampling state (meaningful only when config_.sampling) ----
     SamplePhase sample_phase_ = SamplePhase::Warming;
