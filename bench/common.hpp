@@ -267,6 +267,7 @@ writePerfReport()
     // the rest of this object.
     resilience.set("cache_tape_records", stats.cache_tape_records);
     resilience.set("cache_tape_replays", stats.cache_tape_replays);
+    resilience.set("cache_tape_waits", stats.cache_tape_waits);
     resilience.set("cache_tape_bytes", stats.cache_tape_bytes);
     doc.set("runner", std::move(resilience));
 

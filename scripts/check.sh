@@ -543,10 +543,11 @@ for gate in "${gates[@]}"; do
         # thread pool, and the shared state they guard. Restricting the
         # run keeps the gate fast while covering every code path the
         # workers touch (each runner test executes whole simulations),
-        # plus the data-cache tape store the workers share.
+        # plus the data-cache tape store the workers share and its
+        # single-flight claims (a sibling sleeping on a recorder).
         TSAN_OPTIONS="halt_on_error=1" \
             ctest --test-dir "$dir" --output-on-failure \
-                -R '^(Runner\.|SpecKey\.|ThreadPool\.|CacheTapeStore\.|CacheTape\.ParallelRunner)' \
+                -R '^(Runner\.|SpecKey\.|ThreadPool\.|CacheTapeStore\.|CacheTape\.ParallelRunner|SingleFlight\.)' \
                 -j "$(nproc)"
     else
         # halt_on_error makes UBSan failures fail the test run instead

@@ -21,10 +21,12 @@
 
 #pragma once
 
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,6 +65,13 @@ class CacheTapeMismatch : public std::runtime_error
  * tape by shared_ptr, so eviction never pulls one out from under it.
  * The store keeps at most kBudgetBytes of tapes and evicts the oldest
  * first.
+ *
+ * Recording is single-flight: acquire() hands each key's recording
+ * claim to one run at a time, and a sibling that asks for the same key
+ * while the claim is held sleeps until the recorder publishes (it then
+ * replays) or gives up (it then takes the claim and records itself).
+ * A run holds at most one claim and waits only before it holds one,
+ * so waits never form a cycle.
  */
 class CacheTapeStore
 {
@@ -73,18 +82,70 @@ class CacheTapeStore
     {
         u64 records = 0; //!< tapes published
         u64 replays = 0; //!< runs that completed on a tape
+        u64 waits = 0;   //!< runs that slept on a sibling's claim
         u64 bytes = 0;   //!< tape bytes held now
     };
 
-    /** The tape under `key`, or null. */
+    /**
+     * The right to record one key's tape. Released when destroyed, so
+     * a recorder that throws or is cancelled frees it for a waiter.
+     */
+    class Claim
+    {
+      public:
+        Claim() = default;
+        Claim(Claim &&other) noexcept { *this = std::move(other); }
+        Claim &operator=(Claim &&other) noexcept;
+        ~Claim() { release(); }
+
+        explicit operator bool() const { return store_ != nullptr; }
+
+        /** Give the claim up now (no-op when not held). */
+        void release();
+
+      private:
+        friend class CacheTapeStore;
+        Claim(CacheTapeStore *store, std::string key)
+            : store_(store), key_(std::move(key))
+        {
+        }
+
+        CacheTapeStore *store_ = nullptr;
+        std::string key_;
+    };
+
+    /** What acquire() gives a run: a tape to replay, or none. */
+    struct Lease
+    {
+        std::shared_ptr<const CacheTape> tape; //!< set: replay it
+        Claim claim; //!< held: this run records the key's tape
+    };
+
+    /**
+     * The tape under `key` if there is one; else the key's recording
+     * claim if no run holds it; else, with `wait`, sleep until one of
+     * those holds. Without `wait` a held claim yields an empty lease:
+     * the run records unclaimed and its publish() keeps the first tape.
+     */
+    Lease acquire(const std::string &key, bool wait);
+
+    /** The tape under `key`, or null (tests and diagnostics). */
     std::shared_ptr<const CacheTape> find(const std::string &key) const;
 
     /**
-     * Keep `tape` under `key` unless one is already there (a parallel
-     * sibling recorded the same stream) or it alone exceeds the budget.
+     * Keep `tape` under `key` unless one is already there (a sibling
+     * recorded the same stream unclaimed) or it alone exceeds the
+     * budget, then release `claim`. Either way the key's waiters wake.
      */
     void publish(const std::string &key,
-                 std::shared_ptr<const CacheTape> tape);
+                 std::shared_ptr<const CacheTape> tape, Claim claim);
+
+    /** publish() by a run that holds no claim. */
+    void publish(const std::string &key,
+                 std::shared_ptr<const CacheTape> tape)
+    {
+        publish(key, std::move(tape), Claim());
+    }
 
     /** Drop the tape under `key` if it is still `tape`. */
     void drop(const std::string &key, const CacheTape *tape);
@@ -101,7 +162,9 @@ class CacheTapeStore
     void eraseLocked(const std::string &key);
 
     mutable std::mutex mutex_;
+    std::condition_variable released_; //!< a claim was given up
     std::map<std::string, std::shared_ptr<const CacheTape>> tapes_;
+    std::set<std::string> claimed_;
     std::deque<std::string> order_; //!< publication order, oldest first
     Stats stats_;
 };

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <functional>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -19,6 +21,93 @@ nowNanos()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+/**
+ * The runs of one batch, handed to workers stream-aware. A worker
+ * takes the first pending run, in request order, whose stream has no
+ * first run in flight; only when every pending run's stream has one
+ * does it take the first pending run. Parallel workers so start
+ * different streams, and a stream's later runs find its data-cache
+ * tape recorded instead of sleeping on the recorder's claim. With one
+ * worker nothing is in flight at a pick, so the batch runs in request
+ * order.
+ */
+class StreamQueue
+{
+  public:
+    explicit StreamQueue(const std::vector<std::string> &streams)
+        : streams_(streams), pending_(streams.size())
+    {
+        std::iota(pending_.begin(), pending_.end(), size_t{0});
+    }
+
+    /** The next run to start, or nothing when every run has started. */
+    std::optional<size_t>
+    next()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (pending_.empty())
+            return std::nullopt;
+        auto pick = std::find_if(
+            pending_.begin(), pending_.end(), [&](size_t n) {
+                return !first_in_flight_.count(streams_[n]);
+            });
+        if (pick == pending_.end())
+            pick = pending_.begin();
+        const size_t n = *pick;
+        pending_.erase(pick);
+        if (started_.insert(streams_[n]).second)
+            first_in_flight_.emplace(streams_[n], n);
+        return n;
+    }
+
+    /** Run `n` has finished, successfully or not. */
+    void
+    finish(size_t n)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = first_in_flight_.find(streams_[n]);
+        if (it != first_in_flight_.end() && it->second == n)
+            first_in_flight_.erase(it);
+    }
+
+  private:
+    std::mutex mutex_;
+    const std::vector<std::string> &streams_;
+    std::vector<size_t> pending_;
+    std::set<std::string> started_;
+    std::map<std::string, size_t> first_in_flight_; //!< stream -> run
+};
+
+/**
+ * Run task(n) for every n < streams.size() on `pool`'s workers (inline
+ * on the caller without a pool), in StreamQueue order. task must not
+ * throw.
+ */
+template <typename Task>
+void
+dispatch(util::ThreadPool *pool, const std::vector<std::string> &streams,
+         const Task &task)
+{
+    StreamQueue queue(streams);
+    const auto work = [&] {
+        while (const std::optional<size_t> n = queue.next()) {
+            task(*n);
+            queue.finish(*n);
+        }
+    };
+    const size_t workers =
+        pool ? std::min<size_t>(pool->size(), streams.size()) : 1;
+    if (workers <= 1) {
+        work();
+        return;
+    }
+    const std::vector<size_t> slots(workers);
+    pool->parallelMap(slots, [&](const size_t &) {
+        work();
+        return 0;
+    });
 }
 
 } // namespace
@@ -145,6 +234,7 @@ Runner::stats() const
     const CacheTapeStore::Stats tapes = tapes_.stats();
     snapshot.cache_tape_records = tapes.records;
     snapshot.cache_tape_replays = tapes.replays;
+    snapshot.cache_tape_waits = tapes.waits;
     snapshot.cache_tape_bytes = tapes.bytes;
     snapshot.worker_busy_nanos.clear();
     snapshot.worker_busy_nanos.reserve(worker_busy_.size());
@@ -253,8 +343,28 @@ Runner::run(const ExperimentSpec &spec)
 std::vector<std::shared_ptr<const RunResult>>
 Runner::runMany(const std::vector<ExperimentSpec> &specs)
 {
+    std::vector<util::ParallelError::Failure> failures;
+    std::vector<JobOutcome> outcomes = runBatch(specs, &failures);
+    util::ThreadPool::rethrowFailures(std::move(failures), specs.size());
+    std::vector<std::shared_ptr<const RunResult>> out;
+    out.reserve(outcomes.size());
+    for (JobOutcome &outcome : outcomes)
+        out.push_back(std::move(outcome.result));
+    return out;
+}
+
+std::vector<JobOutcome>
+Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
+{
+    return runBatch(specs, nullptr);
+}
+
+std::vector<JobOutcome>
+Runner::runBatch(const std::vector<ExperimentSpec> &specs,
+                 std::vector<util::ParallelError::Failure> *failures)
+{
     const u64 wall_t0 = nowNanos();
-    std::vector<std::shared_ptr<const RunResult>> out(specs.size());
+    std::vector<JobOutcome> out(specs.size());
     std::vector<std::string> keys(specs.size());
     // Indices that need a simulation; for duplicate keys inside the
     // batch only the first occurrence simulates (the batch owner).
@@ -269,69 +379,6 @@ Runner::runMany(const std::vector<ExperimentSpec> &specs)
             keys[i] = specKey(specs[i]);
             if (keys[i].empty()) {
                 to_run.push_back(i); // unkeyed: always simulate
-                continue;
-            }
-            if (auto it = memo_.find(keys[i]); it != memo_.end()) {
-                out[i] = it->second;
-                ++stats_.memo_hits;
-                continue;
-            }
-            if (auto it = batch_owner.find(keys[i]);
-                it != batch_owner.end()) {
-                followers.emplace_back(i, it->second);
-                ++stats_.memo_hits;
-                continue;
-            }
-            batch_owner.emplace(keys[i], i);
-            to_run.push_back(i);
-        }
-    }
-
-    if (!to_run.empty()) {
-        std::vector<std::shared_ptr<const RunResult>> results;
-        if (pool_) {
-            results = pool_->parallelMap(to_run, [&](const size_t &i) {
-                return simulate(specs[i], keys[i], nullptr);
-            });
-        } else {
-            results.reserve(to_run.size());
-            for (size_t i : to_run)
-                results.push_back(simulate(specs[i], keys[i], nullptr));
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t n = 0; n < to_run.size(); ++n) {
-            const size_t i = to_run[n];
-            out[i] = results[n];
-            if (!keys[i].empty())
-                memo_.emplace(keys[i], results[n]);
-        }
-    }
-    for (const auto &[follower, owner] : followers)
-        out[follower] = out[owner];
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.wall_nanos += nowNanos() - wall_t0;
-    }
-    return out;
-}
-
-std::vector<JobOutcome>
-Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
-{
-    const u64 wall_t0 = nowNanos();
-    std::vector<JobOutcome> out(specs.size());
-    std::vector<std::string> keys(specs.size());
-    std::vector<size_t> to_run;
-    std::map<std::string, size_t> batch_owner;
-    std::vector<std::pair<size_t, size_t>> followers;
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.requested += specs.size();
-        for (size_t i = 0; i < specs.size(); ++i) {
-            keys[i] = specKey(specs[i]);
-            if (keys[i].empty()) {
-                to_run.push_back(i);
                 continue;
             }
             if (auto it = memo_.find(keys[i]); it != memo_.end()) {
@@ -350,8 +397,8 @@ Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
         }
     }
 
-    const bool watched =
-        options_.deadline_ms > 0 || options_.stall_ms > 0;
+    const bool watched = !failures && (options_.deadline_ms > 0 ||
+                                       options_.stall_ms > 0);
     std::vector<std::unique_ptr<Supervision>> supervisions;
     if (watched) {
         supervisions.reserve(to_run.size());
@@ -404,30 +451,35 @@ Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
     }
 
     if (!to_run.empty()) {
-        std::vector<size_t> order(to_run.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        const auto task = [&](size_t n) {
-            return runGuarded(specs[to_run[n]], keys[to_run[n]],
-                              watched ? supervisions[n].get() : nullptr);
-        };
-        std::vector<JobOutcome> results;
-        if (pool_) {
-            // runGuarded never throws, so the map cannot fail.
-            results = pool_->parallelMap(
-                order, [&](const size_t &n) { return task(n); });
-        } else {
-            results.reserve(order.size());
-            for (size_t n : order)
-                results.push_back(task(n));
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t n = 0; n < to_run.size(); ++n) {
+        std::mutex failures_mutex;
+        std::vector<std::string> streams;
+        streams.reserve(to_run.size());
+        for (size_t i : to_run)
+            streams.push_back(workloadKey(specs[i]));
+        // Each run writes only its own slot of `out`.
+        dispatch(pool_.get(), streams, [&](size_t n) {
             const size_t i = to_run[n];
-            out[i] = std::move(results[n]);
+            if (!failures) {
+                out[i] = runGuarded(specs[i], keys[i],
+                                    watched ? supervisions[n].get()
+                                            : nullptr);
+                return;
+            }
+            try {
+                out[i].result = simulate(specs[i], keys[i], nullptr);
+                out[i].attempts = 1;
+            } catch (...) {
+                out[i].fail = JobFail::Error;
+                std::lock_guard<std::mutex> lock(failures_mutex);
+                failures->push_back({i, std::current_exception()});
+            }
+        });
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (size_t i : to_run) {
             if (out[i].ok()) {
                 if (!keys[i].empty())
                     memo_.emplace(keys[i], out[i].result);
-            } else {
+            } else if (!failures) {
                 ++stats_.quarantined;
             }
         }

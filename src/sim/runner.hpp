@@ -15,9 +15,11 @@
  *    spec key, so BaselineCache, geomeanSpeedup and the figure
  *    harnesses all share one simulation per distinct spec;
  *  - shared data-cache work: runs that differ only in policy feed
- *    their data caches the same access stream, so the first run on a
+ *    their data caches the same access stream, so one run per
  *    (stream, cache config) records a cycle tape and the rest replay
- *    it instead of simulating the cache (sim/cache_tape.hpp);
+ *    it instead of simulating the cache (sim/cache_tape.hpp), at any
+ *    worker count; workers start runs of different streams first, so
+ *    a sibling rarely sleeps on the recorder;
  *  - persistence: with RunnerOptions::journal_path set, completed
  *    results are appended to a crash-consistent on-disk journal
  *    (sim/journal.hpp) and preloaded into the memo at construction, so
@@ -187,6 +189,7 @@ class Runner
         // ---- shared data-cache work (sim/cache_tape.hpp) ----
         u64 cache_tape_records = 0; //!< tapes recorded and kept
         u64 cache_tape_replays = 0; //!< runs completed on a tape
+        u64 cache_tape_waits = 0;   //!< runs that slept on a sibling's tape
         u64 cache_tape_bytes = 0;   //!< tape bytes held now
     };
 
@@ -201,10 +204,12 @@ class Runner
     /**
      * Run a batch. Results arrive in spec order; duplicate keys within
      * the batch simulate once; previously-seen keys are recalled from
-     * the memo. With jobs() == 1 the batch runs serially inline —
-     * jobs() > 1 produces bit-identical results. Exceptions propagate
-     * (all failures aggregated per util::ThreadPool::parallelMap); use
-     * runManyGuarded() to contain them per job instead.
+     * the memo. With jobs() == 1 the batch runs serially inline, in
+     * spec order — jobs() > 1 produces bit-identical results. Every
+     * run completes and successes are memoized even when another run
+     * fails; failures then propagate as parallelMap reports them (one
+     * rethrown as is, several as a util::ParallelError indexed by spec
+     * position). Use runManyGuarded() to contain them per job instead.
      */
     std::vector<std::shared_ptr<const RunResult>>
     runMany(const std::vector<ExperimentSpec> &specs);
@@ -247,6 +252,20 @@ class Runner
     JobOutcome runGuarded(const ExperimentSpec &spec,
                           const std::string &key,
                           Supervision *supervision);
+
+    /**
+     * The one batch path of runMany() and runManyGuarded(): serve
+     * memo hits and in-batch duplicates, run the rest on the pool,
+     * memoize successes, and return outcomes in spec order. Without
+     * `failures` every run is guarded (watched when RunnerOptions
+     * asks, retried, quarantined); with it a run is tried once and its
+     * exception lands there, under its spec index. Workers pull runs
+     * stream-aware (StreamQueue in sim/runner.cpp), so they start
+     * different streams first.
+     */
+    std::vector<JobOutcome>
+    runBatch(const std::vector<ExperimentSpec> &specs,
+             std::vector<util::ParallelError::Failure> *failures);
 
     u32 jobs_;
     RunnerOptions options_;

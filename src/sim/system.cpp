@@ -1649,11 +1649,18 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
     tape_store_ = nullptr;
     tape_recording_.reset();
     tape_replaying_.reset();
+    CacheTapeStore::Claim tape_claim; // released however the run ends
     if (tapes && config_.batch_engine && !tenant_mode &&
         !config_.timing.pt_through_dcache && !tel_tail_) {
         tape_store_ = tapes;
         tape_key_ = cacheTapeKey(stream_key);
-        tape_replaying_ = tapes->find(tape_key_);
+        // A run that can be cancelled is watched, and sleeping on a
+        // sibling's claim would count against its deadline and stall
+        // window: it records unclaimed instead.
+        CacheTapeStore::Lease lease =
+            tapes->acquire(tape_key_, /*wait=*/!config_.cancel);
+        tape_replaying_ = std::move(lease.tape);
+        tape_claim = std::move(lease.claim);
         if (tape_replaying_) {
             // The key names the core count.
             PCCSIM_ASSERT(tape_replaying_->cores.size() == cores_.size());
@@ -1696,7 +1703,8 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
             core.tape_out->shrink_to_fit();
             core.tape_out = nullptr;
         }
-        tape_store_->publish(tape_key_, std::move(tape_recording_));
+        tape_store_->publish(tape_key_, std::move(tape_recording_),
+                             std::move(tape_claim));
     }
     if (config_.check_invariants)
         runInvariantChecks(); // final sweep over the end state

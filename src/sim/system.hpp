@@ -57,7 +57,10 @@ class System : public os::PolicyContext
      * Run the jobs to completion and report metrics. With `tapes`, the
      * run shares data-cache work (sim/cache_tape.hpp): it replays the
      * tape stored for its (stream, final cache config) key, or records
-     * and publishes one. `stream_key` must name the jobs' access
+     * and publishes one. While a sibling holds the key's recording
+     * claim the run sleeps until that tape exists, unless it has a
+     * cancel flag (a watched run), which records unclaimed instead.
+     * `stream_key` must name the jobs' access
      * streams — their workload specs and lanes, as
      * workloadKey(ExperimentSpec) does. Runs whose cache input depends
      * on more than the stream (see DESIGN.md) ignore `tapes`.

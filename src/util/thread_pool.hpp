@@ -132,13 +132,16 @@ class ThreadPool
         return results;
     }
 
-  private:
-    void workerLoop();
-
-    /** No-op for zero failures, original rethrow for one, aggregate
-     *  ParallelError for several (ordered by item index). */
+    /**
+     * parallelMap()'s failure report, for batch callers that collect
+     * their own: no-op for zero failures, original rethrow for one,
+     * aggregate ParallelError for several (ordered by item index).
+     */
     static void rethrowFailures(std::vector<ParallelError::Failure> failures,
                                 size_t total);
+
+  private:
+    void workerLoop();
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> tasks_;

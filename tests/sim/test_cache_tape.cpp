@@ -5,12 +5,17 @@
  * run must be refused, never trusted.
  */
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "os/policy_registry.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/runner.hpp"
 #include "tlb/hw_registry.hpp"
+#include "workloads/registry.hpp"
 
 using namespace pccsim;
 using namespace pccsim::sim;
@@ -68,6 +73,84 @@ recordOne(CacheTapeStore &store, const ExperimentSpec &spec)
     EXPECT_EQ(keys.size(), 1u);
     return keys.empty() ? std::string() : keys.front();
 }
+
+/**
+ * perfbench graph-sweep's request list at ci: per app, base-4k paired
+ * with all-huge, pcc and a 2-entry pcc, so base-4k repeats. Eight
+ * distinct runs on two (stream, cache config) keys.
+ */
+std::vector<ExperimentSpec>
+graphSweepRequests()
+{
+    std::vector<ExperimentSpec> specs;
+    for (const char *app : {"bfs", "pr"}) {
+        const ExperimentSpec base = ciSpec(app, PolicyKind::Base, 0.0);
+        const ExperimentSpec pcc = ciSpec(app, PolicyKind::Pcc, 32.0);
+        ExperimentSpec pcc2 = pcc;
+        pcc2.tweak = [](SystemConfig &cfg) { cfg.pcc.pcc2m.entries = 2; };
+        pcc2.tweak_key = "pcc2m=2";
+        for (const ExperimentSpec &variant :
+             {ciSpec(app, PolicyKind::AllHuge), pcc, pcc2}) {
+            specs.push_back(base);
+            specs.push_back(variant);
+        }
+    }
+    return specs;
+}
+
+/** Poll `done` for up to a minute; false if it never held. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/**
+ * A workload that parks its first batch until opened: a run on it
+ * holds its tape claim, mid-recording, for as long as a test needs.
+ */
+class GatedWorkload : public workloads::Workload
+{
+  public:
+    explicit GatedWorkload(workloads::WorkloadPtr inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    void setup(os::Process &proc) override { inner_->setup(proc); }
+    u64 footprintBytes() const override { return inner_->footprintBytes(); }
+
+    Generator<workloads::BatchEnd>
+    batchLane(u32 lane, u32 num_lanes,
+              workloads::AccessBuffer &buf) override
+    {
+        auto inner = inner_->batchLane(lane, num_lanes, buf);
+        bool first = true;
+        while (inner.next()) {
+            if (std::exchange(first, false)) {
+                parked.store(true);
+                while (!opened.load())
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            co_yield inner.value();
+        }
+    }
+
+    std::atomic<bool> parked{false};
+    std::atomic<bool> opened{false};
+
+  private:
+    workloads::WorkloadPtr inner_;
+};
 
 } // namespace
 
@@ -131,10 +214,10 @@ TEST(CacheTape, ParallelRunnerMatchesStandalone)
     for (ExperimentSpec &s : siblings(ciSpec("mcf", PolicyKind::Base)))
         specs.push_back(std::move(s));
     const Runner::Stats st = expectSharedMatchesStandalone(specs, 4);
-    // Which runs record depends on timing; every run does one or the
-    // other, and each stream keeps one tape.
+    // Recording is single-flight: one run per stream records, whatever
+    // the timing, and every other run replays.
     EXPECT_EQ(st.cache_tape_records, 2u);
-    EXPECT_LE(st.cache_tape_replays, 6u);
+    EXPECT_EQ(st.cache_tape_replays, 6u);
 }
 
 TEST(CacheTape, TelemetrySeriesAndAuditMatchStandalone)
@@ -306,4 +389,156 @@ TEST(CacheTapeStore, EvictsOldestFirstWithinItsBudget)
     store.publish("huge", tapeOf(CacheTapeStore::kBudgetBytes + 4096));
     EXPECT_EQ(store.find("huge"), nullptr);
     EXPECT_EQ(store.keys(), (std::vector<std::string>{"b", "c"}));
+}
+
+TEST(SingleFlight, ParallelRunnersRecordEachKeyOnce)
+{
+    const std::vector<ExperimentSpec> specs = graphSweepRequests();
+    Runner serial(1);
+    const auto expect = serial.runMany(specs);
+    ASSERT_EQ(serial.stats().simulated, 8u);
+    EXPECT_EQ(serial.stats().cache_tape_records, 2u);
+    EXPECT_EQ(serial.stats().cache_tape_waits, 0u);
+    for (const u32 jobs : {2u, 4u}) {
+        for (int round = 0; round < 3; ++round) {
+            Runner runner(jobs);
+            const auto got = runner.runMany(specs);
+            for (size_t i = 0; i < specs.size(); ++i) {
+                EXPECT_TRUE(*got[i] == *expect[i])
+                    << jobs << " workers, round " << round << ", spec " << i;
+            }
+            const Runner::Stats st = runner.stats();
+            ASSERT_EQ(st.simulated, 8u);
+            EXPECT_EQ(st.cache_tape_records, 2u) << jobs << " workers";
+            EXPECT_EQ(st.cache_tape_replays, 6u) << jobs << " workers";
+            EXPECT_LE(st.cache_tape_waits, 6u) << jobs << " workers";
+        }
+    }
+}
+
+TEST(SingleFlight, StoreHandsAnAbandonedClaimToItsWaiter)
+{
+    CacheTapeStore store;
+    auto tape = std::make_shared<CacheTape>();
+    tape->cores.resize(1);
+
+    std::atomic<bool> abandon{false};
+    std::thread recorder([&] {
+        try {
+            CacheTapeStore::Lease lease = store.acquire("k", true);
+            ASSERT_TRUE(lease.claim);
+            // Held: a run that may not wait gets nothing to replay and
+            // no claim.
+            const CacheTapeStore::Lease other = store.acquire("k", false);
+            EXPECT_FALSE(other.tape);
+            EXPECT_FALSE(other.claim);
+            while (!abandon.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            throw std::runtime_error("recorder failed");
+        } catch (const std::runtime_error &) {
+        }
+    });
+    CacheTapeStore::Lease waited;
+    std::thread waiter([&] { waited = store.acquire("k", true); });
+    EXPECT_TRUE(eventually([&] { return store.stats().waits == 1; }));
+    abandon.store(true);
+    recorder.join();
+    waiter.join();
+
+    // The waiter took the claim over; its publish serves the next run.
+    EXPECT_FALSE(waited.tape);
+    ASSERT_TRUE(waited.claim);
+    store.publish("k", tape, std::move(waited.claim));
+    EXPECT_FALSE(waited.claim);
+    const CacheTapeStore::Lease replay = store.acquire("k", true);
+    EXPECT_EQ(replay.tape, tape);
+    EXPECT_FALSE(replay.claim);
+    EXPECT_EQ(store.stats().records, 1u);
+    EXPECT_EQ(store.stats().waits, 1u);
+}
+
+TEST(SingleFlight, WaiterRecordsWhenItsRecorderThrowsOrIsCancelled)
+{
+    // The recorder diverges under the oracle or is cancelled while its
+    // sibling waits; the oracle is not part of the tape key, and the
+    // planted bug it catches does not change the cache stream.
+    ExperimentSpec spec = ciSpec("syn:uniform:8:200000:1", PolicyKind::Base,
+                                 0.0);
+    spec.mutation = HotPathMutation::SkipL2Fill;
+    const RunResult standalone = runOne(spec);
+
+    for (const bool cancelled : {false, true}) {
+        SCOPED_TRACE(cancelled ? "cancelled" : "diverged");
+        ExperimentSpec recorder_spec = spec;
+        recorder_spec.oracle.enabled = !cancelled;
+        recorder_spec.oracle.sample_every = 1;
+        std::atomic<bool> cancel{false};
+        SystemConfig recorder_cfg = configFor(recorder_spec);
+        if (cancelled)
+            recorder_cfg.cancel = &cancel;
+
+        CacheTapeStore store;
+        GatedWorkload gated(workloads::makeWorkload(spec.workload));
+        std::exception_ptr recorder_error;
+        std::thread recorder([&] {
+            try {
+                System system(recorder_cfg);
+                system.run(gated, 1, &store, workloadKey(spec));
+            } catch (...) {
+                recorder_error = std::current_exception();
+            }
+        });
+        RunResult waited;
+        std::thread waiter;
+        if (eventually([&] { return gated.parked.load(); })) {
+            waiter = std::thread([&] {
+                waited = runOne(spec, nullptr, nullptr, &store);
+            });
+        }
+        EXPECT_TRUE(eventually([&] { return store.stats().waits == 1; }));
+        cancel.store(true);
+        gated.opened.store(true);
+        recorder.join();
+        if (waiter.joinable())
+            waiter.join();
+
+        ASSERT_TRUE(recorder_error);
+        try {
+            std::rethrow_exception(recorder_error);
+        } catch (const CancelledError &) {
+            EXPECT_TRUE(cancelled);
+        } catch (const OracleError &) {
+            EXPECT_FALSE(cancelled);
+        }
+        EXPECT_TRUE(waited == standalone);
+        EXPECT_EQ(store.stats().records, 1u);
+        EXPECT_EQ(store.keys().size(), 1u);
+    }
+}
+
+TEST(SingleFlight, WatchedAttemptsNeverWait)
+{
+    const std::vector<ExperimentSpec> specs =
+        siblings(ciSpec("mcf", PolicyKind::Base));
+    RunnerOptions options;
+    options.jobs = 4;
+    Runner plain(options);
+    const auto expect = plain.runManyGuarded(specs);
+    EXPECT_EQ(plain.stats().cache_tape_records, 1u);
+    EXPECT_EQ(plain.stats().cache_tape_replays, 3u);
+
+    // A deadline makes every attempt watched; it never fires here.
+    options.deadline_ms = 600'000;
+    Runner watched(options);
+    const auto outcomes = watched.runManyGuarded(specs);
+    for (size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok()) << i << ": " << outcomes[i].message;
+        ASSERT_TRUE(expect[i].ok());
+        EXPECT_TRUE(*outcomes[i].result == *expect[i].result) << i;
+    }
+    const Runner::Stats st = watched.stats();
+    EXPECT_EQ(st.cache_tape_waits, 0u);
+    // Siblings that started while the first held the claim recorded
+    // unclaimed; only the first tape is kept.
+    EXPECT_EQ(st.cache_tape_records, 1u);
 }

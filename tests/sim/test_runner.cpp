@@ -402,7 +402,9 @@ TEST(Runner, WatchdogQuarantinesHungJobWhileBatchCompletes)
     // One endless job must not wedge the batch: the watchdog cancels
     // it at the deadline and the healthy jobs still finish.
     // The deadline needs headroom for the *healthy* job: it bounds
-    // every attempt in the batch, not just the hung one.
+    // every attempt in the batch, not just the hung one. The healthy
+    // job is a small synthetic run, so it finishes well inside the
+    // deadline even under ThreadSanitizer on a loaded host.
     RunnerOptions options;
     options.jobs = 2;
     options.deadline_ms = 5'000;
@@ -410,7 +412,7 @@ TEST(Runner, WatchdogQuarantinesHungJobWhileBatchCompletes)
     Runner runner(options);
 
     const std::vector<ExperimentSpec> batch = {
-        spinSpec(), ciSpec("bfs", PolicyKind::Base, 0.0)};
+        spinSpec(), ciSpec("syn:uniform:8:200000:1", PolicyKind::Base, 0.0)};
     const auto outcomes = runner.runManyGuarded(batch);
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_EQ(outcomes[0].fail, JobFail::Timeout)
