@@ -1,10 +1,16 @@
 /**
  * @file
- * Microbenchmarks for graph-input construction at `small` scale
- * (2^18 vertices, average degree 16, seed 1): R-MAT edge sampling,
- * the CSR build, the DBG reorder, and whole `generate` calls per
- * network kind. This is the set-up every graph workload pays before
- * its first simulated access.
+ * Microbenchmarks for graph-input construction (seed 1): the library's
+ * R-MAT edge sampling and CSR build at `small` scale (2^18 vertices,
+ * average degree 16), the DBG reorder, and whole `generate` calls per
+ * network kind at `small` and, for Kronecker, at `medium` (2^20). This
+ * is the set-up every graph workload pays before its first simulated
+ * access.
+ *
+ * The sampling, CSR and generate cases each run on one thread and on
+ * all hardware threads (the last argument: 1 or 0 = all); the
+ * `threads` counter reports the count used. They report wall time,
+ * since the calling thread only waits while the workers run.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +18,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace pccsim;
 using namespace pccsim::graph;
@@ -19,25 +26,22 @@ using namespace pccsim::graph;
 namespace {
 
 GraphSpec
-smallSpec(NetworkKind kind)
+spec(NetworkKind kind, unsigned scale = 18)
 {
-    GraphSpec spec;
-    spec.scale = 18;
-    spec.avg_degree = 16;
-    spec.kind = kind;
-    spec.seed = 1;
-    return spec;
+    GraphSpec s;
+    s.scale = scale;
+    s.avg_degree = 16;
+    s.kind = kind;
+    s.seed = 1;
+    return s;
 }
 
-std::vector<Edge>
-rmatEdges(const GraphSpec &spec)
+/** The thread count an argument of 1 or 0 (= all) selects. */
+u32
+threads(i64 arg)
 {
-    Rng rng(spec.seed);
-    const RmatSampler gap(kRmatA, kRmatB, kRmatC);
-    std::vector<Edge> edges(spec.numDirectedEdges());
-    for (Edge &e : edges)
-        e = gap.edge(spec.scale, rng);
-    return edges;
+    return arg == 0 ? util::ThreadPool::hardwareJobs()
+                    : static_cast<u32>(arg);
 }
 
 } // namespace
@@ -45,38 +49,50 @@ rmatEdges(const GraphSpec &spec)
 static void
 BM_RmatEdges(benchmark::State &state)
 {
-    const GraphSpec spec = smallSpec(NetworkKind::Kronecker);
+    const GraphSpec s = spec(NetworkKind::Kronecker);
+    const u32 n = threads(state.range(0));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rmatEdges(spec).data());
+        benchmark::DoNotOptimize(kroneckerEdges(s, n).data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<i64>(spec.numDirectedEdges()));
+                            static_cast<i64>(s.numDirectedEdges()));
+    state.counters["threads"] = n;
 }
-BENCHMARK(BM_RmatEdges)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RmatEdges)
+    ->Arg(1)
+    ->Arg(0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 static void
 BM_BuildCsr(benchmark::State &state)
 {
-    const GraphSpec spec = smallSpec(NetworkKind::Kronecker);
-    const std::vector<Edge> sampled = rmatEdges(spec);
+    const GraphSpec s = spec(NetworkKind::Kronecker);
+    const u32 n = threads(state.range(0));
+    const std::vector<Edge> sampled = kroneckerEdges(s);
     for (auto _ : state) {
         state.PauseTiming();
         std::vector<Edge> edges = sampled;
         state.ResumeTiming();
-        const CsrGraph g = buildCsr(spec.numNodes(), edges, true);
+        const CsrGraph g = buildCsr(s.numNodes(), edges, true, n);
         benchmark::DoNotOptimize(g.targets().data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<i64>(sampled.size()));
+    state.counters["threads"] = n;
 }
-BENCHMARK(BM_BuildCsr)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildCsr)
+    ->Arg(1)
+    ->Arg(0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 static void
 BM_DbgReorder(benchmark::State &state)
 {
-    const CsrGraph g = generate(smallSpec(NetworkKind::Kronecker));
+    const CsrGraph g = generate(spec(NetworkKind::Kronecker));
     for (auto _ : state) {
         const CsrGraph sorted = dbgReorder(g);
         benchmark::DoNotOptimize(sorted.targets().data());
@@ -87,22 +103,30 @@ BM_DbgReorder(benchmark::State &state)
 }
 BENCHMARK(BM_DbgReorder)->Unit(benchmark::kMillisecond);
 
+/** Arguments: network kind, scale, threads (1 or 0 = all). */
 static void
 BM_Generate(benchmark::State &state)
 {
     const auto kind = static_cast<NetworkKind>(state.range(0));
-    const GraphSpec spec = smallSpec(kind);
+    const GraphSpec s = spec(kind, static_cast<unsigned>(state.range(1)));
+    const u32 n = threads(state.range(2));
     for (auto _ : state) {
-        const CsrGraph g = generate(spec);
+        const CsrGraph g = generate(s, n);
         benchmark::DoNotOptimize(g.targets().data());
         benchmark::ClobberMemory();
     }
     state.SetLabel(kind == NetworkKind::Kronecker ? "kronecker"
                    : kind == NetworkKind::Social  ? "social"
                                                   : "web");
+    state.counters["threads"] = n;
 }
 BENCHMARK(BM_Generate)
-    ->Arg(static_cast<int>(NetworkKind::Kronecker))
-    ->Arg(static_cast<int>(NetworkKind::Social))
-    ->Arg(static_cast<int>(NetworkKind::Web))
+    ->ArgsProduct({{static_cast<int>(NetworkKind::Kronecker),
+                    static_cast<int>(NetworkKind::Social),
+                    static_cast<int>(NetworkKind::Web)},
+                   {18},
+                   {1, 0}})
+    ->Args({static_cast<int>(NetworkKind::Kronecker), 20, 1})
+    ->Args({static_cast<int>(NetworkKind::Kronecker), 20, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

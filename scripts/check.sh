@@ -544,10 +544,12 @@ for gate in "${gates[@]}"; do
         # run keeps the gate fast while covering every code path the
         # workers touch (each runner test executes whole simulations),
         # plus the data-cache tape store the workers share and its
-        # single-flight claims (a sibling sleeping on a recorder).
+        # single-flight claims (a sibling sleeping on a recorder), and
+        # graph set-up: jumped-ahead sampling slices, the per-range CSR
+        # scatter and the single-flight graph-input cache.
         TSAN_OPTIONS="halt_on_error=1" \
             ctest --test-dir "$dir" --output-on-failure \
-                -R '^(Runner\.|SpecKey\.|ThreadPool\.|CacheTapeStore\.|CacheTape\.ParallelRunner|SingleFlight\.)' \
+                -R '^(Runner\.|SpecKey\.|ThreadPool\.|CacheTapeStore\.|CacheTape\.ParallelRunner|SingleFlight\.|RngAdvance\.|SeedOne/GoldenCsr\.|Csr\.SameForEveryThreadCount|GraphInputCache\.)' \
                 -j "$(nproc)"
     else
         # halt_on_error makes UBSan failures fail the test run instead

@@ -112,8 +112,11 @@ struct Edge
  * @param edges Edge list; consumed (cleared) to bound peak memory.
  * @param symmetrize Insert both directions of every edge (GAP treats
  *        its inputs as undirected for BFS/PR).
+ * @param threads Most threads to place the targets with; 0 selects
+ *        ThreadPool::hardwareJobs(). Each row lists its targets in
+ *        edge-list order whatever the count, so the graph is the same.
  */
 CsrGraph buildCsr(NodeId num_nodes, std::vector<Edge> &edges,
-                  bool symmetrize = true);
+                  bool symmetrize = true, u32 threads = 0);
 
 } // namespace pccsim::graph

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pccsim::graph {
 
@@ -17,15 +18,33 @@ rmatEdge(unsigned scale, Rng &rng, double a, double b, double c)
 
 namespace {
 
-/** Kronecker-style R-MAT power-law network (GAP parameters). */
-std::vector<Edge>
-kroneckerEdges(const GraphSpec &spec, Rng &rng)
+/**
+ * Fewest values one thread draws. Below this, starting the thread and
+ * jumping its stream ahead cost more than the draws it takes over.
+ */
+constexpr u64 kMinPart = u64(1) << 16;
+
+/**
+ * Fill `out` from one stream that `draw` advances by exactly `stride`
+ * values per element, as a serial loop from `seeded` would: element i
+ * starts at stream position i * stride, so each thread jumps a copy of
+ * the stream to the first element of its slice.
+ */
+template <typename T, typename Draw>
+void
+fillFromStream(std::vector<T> &out, const Rng &seeded, u64 stride,
+               u32 threads, const Draw &draw)
 {
-    const RmatSampler gap(kRmatA, kRmatB, kRmatC);
-    std::vector<Edge> edges(spec.numDirectedEdges());
-    for (Edge &e : edges)
-        e = gap.edge(spec.scale, rng);
-    return edges;
+    const u64 n = out.size();
+    const u32 parts = util::partCount(n, kMinPart, threads);
+    util::forEachPart(parts, [&](u32 part) {
+        const u64 begin = util::partBegin(n, part, parts);
+        const u64 end = util::partBegin(n, part + 1, parts);
+        Rng rng = seeded;
+        rng.advance(begin * stride);
+        for (u64 i = begin; i < end; ++i)
+            out[i] = draw(rng);
+    });
 }
 
 /**
@@ -79,15 +98,29 @@ webEdges(const GraphSpec &spec, Rng &rng)
 
 } // namespace
 
+std::vector<Edge>
+kroneckerEdges(const GraphSpec &spec, u32 threads)
+{
+    const RmatSampler gap(kRmatA, kRmatB, kRmatC);
+    const unsigned scale = spec.scale;
+    std::vector<Edge> edges(spec.numDirectedEdges());
+    fillFromStream(edges, Rng(spec.seed), scale, threads,
+                   [&gap, scale](Rng &r) { return gap.edge(scale, r); });
+    return edges;
+}
+
 CsrGraph
-generate(const GraphSpec &spec)
+generate(const GraphSpec &spec, u32 threads)
 {
     Rng rng(spec.seed);
     std::vector<Edge> edges;
     switch (spec.kind) {
       case NetworkKind::Kronecker:
-        edges = kroneckerEdges(spec, rng);
+        edges = kroneckerEdges(spec, threads);
         break;
+      // A Zipf draw rejects a variable number of values, so no edge's
+      // stream position is known before the ones ahead of it are
+      // drawn: these two sample serially.
       case NetworkKind::Social:
         edges = socialEdges(spec, rng);
         break;
@@ -95,19 +128,20 @@ generate(const GraphSpec &spec)
         edges = webEdges(spec, rng);
         break;
     }
-    CsrGraph graph = buildCsr(spec.numNodes(), edges, true);
+    CsrGraph graph = buildCsr(spec.numNodes(), edges, true, threads);
     if (spec.weighted)
-        graph = withUniformWeights(std::move(graph), spec.seed ^ 0x77ull);
+        graph = withUniformWeights(std::move(graph), spec.seed ^ 0x77ull,
+                                   255, threads);
     return graph;
 }
 
 CsrGraph
-withUniformWeights(CsrGraph graph, u64 seed, u32 max_weight)
+withUniformWeights(CsrGraph graph, u64 seed, u32 max_weight, u32 threads)
 {
-    Rng rng(seed);
     std::vector<u32> weights(graph.numEdges());
-    for (auto &w : weights)
-        w = static_cast<u32>(rng.range(1, max_weight));
+    fillFromStream(weights, Rng(seed), 1, threads, [&](Rng &rng) {
+        return static_cast<u32>(rng.range(1, max_weight));
+    });
     return std::move(graph).withWeights(std::move(weights));
 }
 

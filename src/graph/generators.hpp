@@ -37,8 +37,13 @@ struct GraphSpec
     }
 };
 
-/** Generate a graph per the spec; symmetrized CSR. */
-CsrGraph generate(const GraphSpec &spec);
+/**
+ * Generate a graph per the spec; symmetrized CSR. Kronecker sampling,
+ * edge weights and the CSR build are split across up to `threads`
+ * threads (0 selects ThreadPool::hardwareJobs()); the graph is
+ * bit-identical for every thread count.
+ */
+CsrGraph generate(const GraphSpec &spec, u32 threads = 0);
 
 /**
  * R-MAT quadrant choice on integers. Each bit of an edge draws one
@@ -88,12 +93,27 @@ inline constexpr double kRmatA = 0.57;
 inline constexpr double kRmatB = 0.19;
 inline constexpr double kRmatC = 0.19;
 
+/**
+ * The directed edge list of a Kronecker spec: edge i is
+ * RmatSampler::edge draw i, with GAP's (a,b,c,d), of Rng(spec.seed), so
+ * it starts at stream position i * scale. Slices go to up to `threads`
+ * threads (0: ThreadPool::hardwareJobs()), each jumping its copy of
+ * the stream to its slice with Rng::advance; the list is the same for
+ * every thread count.
+ */
+std::vector<Edge> kroneckerEdges(const GraphSpec &spec, u32 threads = 0);
+
 /** One R-MAT edge, by default with GAP's (a,b,c,d). */
 Edge rmatEdge(unsigned scale, Rng &rng, double a = kRmatA,
               double b = kRmatB, double c = kRmatC);
 
-/** Attach uniform random weights in [1, max_weight] to a graph. */
-CsrGraph withUniformWeights(CsrGraph graph, u64 seed, u32 max_weight = 255);
+/**
+ * Attach uniform random weights in [1, max_weight] to a graph, edge i
+ * taking draw i of the seed's stream, on up to `threads` threads (0:
+ * ThreadPool::hardwareJobs()).
+ */
+CsrGraph withUniformWeights(CsrGraph graph, u64 seed, u32 max_weight = 255,
+                            u32 threads = 0);
 
 /**
  * Degree-based grouping (DBG) reorder [Faldu et al., IISWC'19]: place

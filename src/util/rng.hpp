@@ -5,6 +5,8 @@
  * Every source of randomness in pccsim flows through these generators so
  * that a given seed reproduces a run bit-for-bit. SplitMix64 is used for
  * seeding and cheap hashing; Xoshiro256** is the workhorse stream.
+ * Rng::advance() jumps a stream ahead exactly, so disjoint slices of
+ * one stream can be drawn on different threads.
  */
 
 #pragma once
@@ -100,6 +102,13 @@ class Rng
     {
         return uniform() < p;
     }
+
+    /**
+     * Skip ahead: afterwards the generator is in the state that n
+     * calls to next() would have left it in. The cost does not depend
+     * on n: one modular exponentiation and 256 steps.
+     */
+    void advance(u64 n);
 
   private:
     static u64

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <numeric>
+
 namespace pccsim::util {
 
 ThreadPool::ThreadPool(u32 threads)
@@ -90,6 +92,29 @@ ThreadPool::workerLoop()
         }
         task();
     }
+}
+
+u32
+partCount(u64 n, u64 min_part, u32 threads)
+{
+    const u64 limit = threads == 0 ? ThreadPool::hardwareJobs() : threads;
+    return static_cast<u32>(std::clamp<u64>(n / min_part, 1, limit));
+}
+
+void
+forEachPart(u32 parts, const std::function<void(u32)> &fn)
+{
+    if (parts <= 1) {
+        fn(0);
+        return;
+    }
+    std::vector<u32> ids(parts);
+    std::iota(ids.begin(), ids.end(), 0u);
+    ThreadPool pool(parts);
+    pool.parallelMap(ids, [&fn](u32 part) {
+        fn(part);
+        return u8{0};
+    });
 }
 
 } // namespace pccsim::util

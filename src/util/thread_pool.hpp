@@ -150,4 +150,26 @@ class ThreadPool
     bool stop_ = false;
 };
 
+/**
+ * How many parts to cut `n` units of work into: as many as `threads`
+ * (0 selects ThreadPool::hardwareJobs()), but no part smaller than
+ * `min_part` units, and never fewer than one part.
+ */
+u32 partCount(u64 n, u64 min_part, u32 threads);
+
+/** First unit of part `part` of `parts` near-equal parts of [0, n). */
+inline u64
+partBegin(u64 n, u32 part, u32 parts)
+{
+    return static_cast<u64>(static_cast<unsigned __int128>(n) * part /
+                            parts);
+}
+
+/**
+ * Call fn(part) for every part in [0, parts), each on its own thread
+ * of a pool made for this call; a single part runs inline. Failures
+ * are reported as parallelMap() reports them.
+ */
+void forEachPart(u32 parts, const std::function<void(u32)> &fn);
+
 } // namespace pccsim::util

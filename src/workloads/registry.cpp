@@ -1,8 +1,8 @@
 #include "workloads/registry.hpp"
 
+#include <future>
 #include <map>
 #include <mutex>
-
 #include <sstream>
 
 #include "util/log.hpp"
@@ -104,65 +104,105 @@ graphBytes(const graph::CsrGraph &g)
            (g.hasWeights() ? g.numEdges() * 4 : 0);
 }
 
-std::shared_ptr<const graph::CsrGraph>
-cachedGraph(const WorkloadSpec &spec, bool weighted)
+using GraphPtr = std::shared_ptr<const graph::CsrGraph>;
+
+/**
+ * Graph inputs shared by every workload of the process. A graph stays
+ * while anyone holds it (a weak map). The most recent ones are also
+ * held strongly, within a byte budget: the weak map alone lets a graph
+ * die between back-to-back serial runs, so a harness sweeping
+ * configurations would regenerate the same input dozens of times. The
+ * budget bounds retention (paper-scale graphs run to hundreds of MB);
+ * the newest graph is always kept.
+ *
+ * A graph is built outside the lock, once per key: the first caller
+ * builds it, later callers for that key wait for the build, and callers
+ * for any other key go on meanwhile.
+ */
+class GraphCache
 {
-    static std::map<GraphKey, std::weak_ptr<const graph::CsrGraph>> cache;
-    // Strong refs to recently used graphs: the weak map alone lets a
-    // graph die between back-to-back serial runs, so a harness
-    // sweeping configurations regenerates the same input dozens of
-    // times. A byte budget bounds retention (paper-scale graphs run to
-    // hundreds of MB); the newest graph is always kept.
-    static std::vector<std::pair<GraphKey,
-        std::shared_ptr<const graph::CsrGraph>>> recent;
-    static constexpr u64 kRecentBudgetBytes = 512ull << 20;
-    static std::mutex mutex;
-
-    const ScaleParams params = scaleParams(spec.scale);
-    const GraphKey key{params.graph_scale, params.avg_degree,
-                       spec.network,      weighted,
-                       spec.dbg_sorted,   spec.seed};
-
-    std::lock_guard<std::mutex> lock(mutex);
-
-    const auto remember =
-        [&key](const std::shared_ptr<const graph::CsrGraph> &g) {
-            for (auto it = recent.begin(); it != recent.end(); ++it) {
-                if (!(it->first < key) && !(key < it->first)) {
-                    recent.erase(it);
-                    break;
-                }
+  public:
+    GraphPtr
+    get(const GraphKey &key, const graph::GraphSpec &spec, bool dbg_sorted)
+    {
+        std::promise<GraphPtr> promise;
+        std::shared_future<GraphPtr> pending;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            Slot &slot = slots_[key];
+            if (GraphPtr hit = slot.graph.lock()) {
+                remember(key, hit);
+                return hit;
             }
-            recent.emplace_back(key, g);
-            u64 total = 0;
-            for (const auto &[k, kept] : recent)
-                total += graphBytes(*kept);
-            while (recent.size() > 1 && total > kRecentBudgetBytes) {
-                total -= graphBytes(*recent.front().second);
-                recent.erase(recent.begin());
-            }
-        };
+            pending = slot.building;
+            if (!pending.valid())
+                slot.building = promise.get_future().share();
+        }
+        if (pending.valid())
+            return pending.get(); // rethrows the builder's failure
 
-    if (auto hit = cache[key].lock()) {
-        remember(hit);
-        return hit;
+        GraphPtr built;
+        try {
+            graph::CsrGraph g = graph::generate(spec);
+            if (dbg_sorted)
+                g = graph::dbgReorder(g);
+            built = std::make_shared<const graph::CsrGraph>(std::move(g));
+        } catch (...) {
+            finish(key, nullptr);
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+        finish(key, built);
+        promise.set_value(built);
+        return built;
     }
 
-    graph::GraphSpec gspec;
-    gspec.scale = params.graph_scale;
-    gspec.avg_degree = params.avg_degree;
-    gspec.kind = spec.network;
-    gspec.weighted = weighted;
-    gspec.seed = spec.seed;
-    auto built = graph::generate(gspec);
-    if (spec.dbg_sorted)
-        built = graph::dbgReorder(built);
-    auto shared =
-        std::make_shared<const graph::CsrGraph>(std::move(built));
-    cache[key] = shared;
-    remember(shared);
-    return shared;
-}
+  private:
+    struct Slot
+    {
+        std::weak_ptr<const graph::CsrGraph> graph;
+        std::shared_future<GraphPtr> building; //!< valid while in flight
+    };
+
+    static constexpr u64 kRecentBudgetBytes = 512ull << 20;
+
+    /** End the build of `key`, keeping `g` unless the build failed. */
+    void
+    finish(const GraphKey &key, const GraphPtr &g)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Slot &slot = slots_[key];
+        slot.building = {};
+        if (g) {
+            slot.graph = g;
+            remember(key, g);
+        }
+    }
+
+    /** Make `g` the newest of the recent graphs; caller holds mutex_. */
+    void
+    remember(const GraphKey &key, const GraphPtr &g)
+    {
+        for (auto it = recent_.begin(); it != recent_.end(); ++it) {
+            if (!(it->first < key) && !(key < it->first)) {
+                recent_.erase(it);
+                break;
+            }
+        }
+        recent_.emplace_back(key, g);
+        u64 total = 0;
+        for (const auto &[k, kept] : recent_)
+            total += graphBytes(*kept);
+        while (recent_.size() > 1 && total > kRecentBudgetBytes) {
+            total -= graphBytes(*recent_.front().second);
+            recent_.erase(recent_.begin());
+        }
+    }
+
+    std::mutex mutex_;
+    std::map<GraphKey, Slot> slots_;
+    std::vector<std::pair<GraphKey, GraphPtr>> recent_;
+};
 
 /**
  * Parse "syn:<pattern>:<footprintMB>:<ops>:<hot_regions>" (fields after
@@ -222,6 +262,22 @@ makeSynthetic(const WorkloadSpec &spec)
 
 } // namespace
 
+std::shared_ptr<const graph::CsrGraph>
+graphInput(const WorkloadSpec &spec)
+{
+    static GraphCache cache;
+    const ScaleParams params = scaleParams(spec.scale);
+    graph::GraphSpec gspec;
+    gspec.scale = params.graph_scale;
+    gspec.avg_degree = params.avg_degree;
+    gspec.kind = spec.network;
+    gspec.weighted = spec.name == "sssp";
+    gspec.seed = spec.seed;
+    const GraphKey key{gspec.scale,     gspec.avg_degree, gspec.kind,
+                       gspec.weighted,  spec.dbg_sorted,  gspec.seed};
+    return cache.get(key, gspec, spec.dbg_sorted);
+}
+
 WorkloadPtr
 makeWorkload(const WorkloadSpec &spec)
 {
@@ -229,12 +285,12 @@ makeWorkload(const WorkloadSpec &spec)
         return makeSynthetic(spec);
     const ScaleParams params = scaleParams(spec.scale);
     if (spec.name == "bfs")
-        return std::make_unique<BfsWorkload>(cachedGraph(spec, false));
+        return std::make_unique<BfsWorkload>(graphInput(spec));
     if (spec.name == "sssp")
-        return std::make_unique<SsspWorkload>(cachedGraph(spec, true));
+        return std::make_unique<SsspWorkload>(graphInput(spec));
     if (spec.name == "pr") {
-        return std::make_unique<PageRankWorkload>(
-            cachedGraph(spec, false), params.pr_iterations);
+        return std::make_unique<PageRankWorkload>(graphInput(spec),
+                                                  params.pr_iterations);
     }
     if (spec.name == "canneal") {
         return std::make_unique<CannealWorkload>(

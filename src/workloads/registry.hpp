@@ -66,6 +66,13 @@ struct WorkloadSpec
  */
 WorkloadPtr makeWorkload(const WorkloadSpec &spec);
 
+/**
+ * The CSR input of a graph workload (bfs, pr; sssp's is weighted), from
+ * a process-wide cache: concurrent callers for one input share one
+ * build and one graph, and callers for other inputs do not wait for it.
+ */
+std::shared_ptr<const graph::CsrGraph> graphInput(const WorkloadSpec &spec);
+
 /** True if the named workload is one of the graph kernels. */
 bool isGraphWorkload(const std::string &name);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/csr.hpp"
+#include "util/rng.hpp"
 
 using namespace pccsim;
 using namespace pccsim::graph;
@@ -73,4 +74,27 @@ TEST(Csr, EmptyGraph)
     const CsrGraph g = buildCsr(1, edges, true);
     EXPECT_EQ(g.numNodes(), 1u);
     EXPECT_EQ(g.numEdges(), 0u);
+}
+
+TEST(Csr, SameForEveryThreadCount)
+{
+    // Enough edges for up to eight scatter threads, on few rows, so rows
+    // repeat targets and the per-row order is tested; one self-loop.
+    constexpr NodeId kNodes = 1000;
+    Rng rng(3);
+    std::vector<Edge> edges(1u << 19);
+    for (Edge &e : edges)
+        e = {static_cast<NodeId>(rng.below(kNodes)),
+             static_cast<NodeId>(rng.below(kNodes))};
+    edges[7] = {5, 5};
+    for (bool symmetrize : {true, false}) {
+        std::vector<Edge> copy = edges;
+        const CsrGraph want = buildCsr(kNodes, copy, symmetrize, 1);
+        for (u32 threads : {2u, 3u, 5u, 8u}) {
+            copy = edges;
+            const CsrGraph got = buildCsr(kNodes, copy, symmetrize, threads);
+            EXPECT_EQ(got.offsets(), want.offsets()) << "threads " << threads;
+            EXPECT_EQ(got.targets(), want.targets()) << "threads " << threads;
+        }
+    }
 }

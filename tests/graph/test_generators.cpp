@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -199,23 +200,47 @@ class GoldenCsr : public ::testing::TestWithParam<GoldenCase>
 
 } // namespace
 
-// Every generated CSR, bit for bit, at seed 1. A changed value means
-// changed inputs, and so changed simulated results, for every graph
-// workload: a faster generator, CSR build or reorder must keep them.
-TEST_P(GoldenCsr, HashUnchanged)
+namespace {
+
+/** The golden case's graph, built on up to `threads` threads. */
+u64
+goldenHash(const GoldenCase &c, u32 threads)
 {
-    const GoldenCase &c = GetParam();
     GraphSpec spec;
     spec.scale = c.scale;
     spec.avg_degree = c.avg_degree;
     spec.kind = c.kind;
     spec.weighted = c.weighted;
     spec.seed = 1;
-    CsrGraph g = generate(spec);
+    CsrGraph g = generate(spec, threads);
     if (c.dbg)
         g = dbgReorder(g);
-    EXPECT_EQ(csrHash(g), c.hash)
-        << std::hex << "got 0x" << csrHash(g) << " want 0x" << c.hash;
+    return csrHash(g);
+}
+
+} // namespace
+
+// Every generated CSR, bit for bit, at seed 1. A changed value means
+// changed inputs, and so changed simulated results, for every graph
+// workload: a faster generator, CSR build or reorder must keep them.
+TEST_P(GoldenCsr, HashUnchanged)
+{
+    const GoldenCase &c = GetParam();
+    const u64 got = goldenHash(c, 0);
+    EXPECT_EQ(got, c.hash) << std::hex << "got 0x" << got << " want 0x"
+                           << c.hash;
+}
+
+// Sampling slices, weight slices and scatter rows split differently at
+// every thread count (5 and 8 leave uneven slices); the graph must not.
+TEST_P(GoldenCsr, SameAtEveryThreadCount)
+{
+    const GoldenCase &c = GetParam();
+    for (u32 threads : {1u, 2u, 3u, 5u, 8u}) {
+        const u64 got = goldenHash(c, threads);
+        EXPECT_EQ(got, c.hash) << std::hex << "threads " << threads
+                               << ": got 0x" << got << " want 0x" << c.hash;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -327,4 +352,52 @@ TEST(RmatThreshold, SamplerMatchesDoubleLadder)
             ASSERT_EQ(got.dst, want.dst) << "edge " << i;
         }
     }
+}
+
+namespace {
+
+/** Whether `jumped` and `stepped` now draw the same values. */
+::testing::AssertionResult
+sameStream(Rng jumped, Rng stepped)
+{
+    for (int i = 0; i < 4; ++i) {
+        const u64 a = jumped.next();
+        const u64 b = stepped.next();
+        if (a != b)
+            return ::testing::AssertionFailure()
+                   << "draw " << i << ": " << a << " != " << b;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(RngAdvance, MatchesRepeatedNext)
+{
+    Rng pick(2024);
+    for (u64 seed : {u64(1), u64(42), u64(0x9e3779b97f4a7c15ull)}) {
+        std::vector<u64> counts = {0, 1, 255, 256, 257, (u64(1) << 20) + 3};
+        for (int i = 0; i < 3; ++i)
+            counts.push_back(pick.below(10'000'000) + 1);
+        for (u64 n : counts) {
+            Rng stepped(seed);
+            stepped.next(); // start mid-stream, not at a fresh seed
+            Rng jumped = stepped;
+            for (u64 i = 0; i < n; ++i)
+                stepped.next();
+            jumped.advance(n);
+            EXPECT_TRUE(sameStream(jumped, stepped))
+                << "seed " << seed << " n " << n;
+        }
+    }
+}
+
+TEST(RngAdvance, ComposesOverTheWholeRange)
+{
+    Rng once(7);
+    Rng twice(7);
+    once.advance(~u64(0));
+    twice.advance(u64(1) << 63);
+    twice.advance((u64(1) << 63) - 1);
+    EXPECT_TRUE(sameStream(once, twice));
 }

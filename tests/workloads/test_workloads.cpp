@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "workloads/graph_workloads.hpp"
 #include "workloads/registry.hpp"
@@ -79,6 +81,43 @@ TEST(Registry, GraphCacheReusesGraphs)
     a->setup(p0);
     b->setup(p1);
     EXPECT_EQ(a->footprintBytes(), b->footprintBytes());
+}
+
+// Seeds below are used by no other test, so the first request builds.
+TEST(GraphInputCache, ConcurrentRequestsShareOneGraph)
+{
+    WorkloadSpec spec = ciSpec("bfs");
+    spec.seed = 0x5f1e;
+    constexpr int kCallers = 4;
+    std::vector<std::shared_ptr<const graph::CsrGraph>> got(kCallers);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+        callers.emplace_back([&, i] { got[i] = graphInput(spec); });
+    for (std::thread &t : callers)
+        t.join();
+    ASSERT_NE(got[0], nullptr);
+    for (const auto &g : got)
+        EXPECT_EQ(g.get(), got[0].get());
+    spec.name = "pr"; // reads bfs's input
+    EXPECT_EQ(graphInput(spec).get(), got[0].get());
+}
+
+TEST(GraphInputCache, TwoKeysAtOnceBothComplete)
+{
+    WorkloadSpec bfs = ciSpec("bfs");
+    WorkloadSpec sssp = ciSpec("sssp");
+    bfs.seed = sssp.seed = 0x5f2e;
+    std::shared_ptr<const graph::CsrGraph> a, b;
+    std::thread ta([&] { a = graphInput(bfs); });
+    std::thread tb([&] { b = graphInput(sssp); });
+    ta.join();
+    tb.join();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_FALSE(a->hasWeights());
+    EXPECT_TRUE(b->hasWeights());
+    EXPECT_EQ(a->numEdges(), b->numEdges());
 }
 
 TEST(Registry, ScaleHelpers)
