@@ -11,8 +11,6 @@
  */
 
 #include "common.hpp"
-#include "util/thread_pool.hpp"
-#include "workloads/synthetic.hpp"
 
 using namespace pccsim;
 using namespace pccsim::bench;
@@ -66,42 +64,18 @@ main(int argc, char **argv)
     // Cold streaming data is touched exactly once per pass, so with
     // the filter off its compulsory walks flood the PCC.
     {
-        workloads::SyntheticSpec spec;
-        spec.pattern = workloads::Pattern::HotRegions;
-        spec.footprint_bytes = 512ull << 20;
-        spec.hot_regions = 8;
-        spec.hot_fraction = 0.5;
-        spec.ops = env.scale == workloads::Scale::Ci ? 1'500'000
-                                                     : 4'000'000;
-        spec.seed = env.seed;
-
-        // Raw-System runs (synthetic workloads are not in the
-        // registry): fan the three configurations out on a pool.
-        struct StressPoint
-        {
-            bool filter;
-            sim::PolicyKind kind;
-        };
-        const std::vector<StressPoint> points = {
-            {true, sim::PolicyKind::Base},
-            {true, sim::PolicyKind::Pcc},
-            {false, sim::PolicyKind::Pcc}};
-        util::ThreadPool pool(env.jobs);
-        const auto runs =
-            pool.parallelMap(points, [&](const StressPoint &p) {
-                workloads::SyntheticWorkload w(spec);
-                sim::SystemConfig cfg =
-                    sim::SystemConfig::forScale(env.scale);
-                cfg.policy = p.kind;
-                cfg.promotion_cap_percent = 8.0;
-                cfg.pcc.access_bit_filter = p.filter;
-                cfg.pcc.pcc2m.entries = 16;
-                sim::System system(cfg);
-                return system.run(w);
-            });
-        const auto &base = runs[0];
-        const auto &on = runs[1];
-        const auto &off = runs[2];
+        const u64 ops =
+            env.scale == workloads::Scale::Ci ? 1'500'000 : 4'000'000;
+        // 8 hot regions take half the accesses of a 512MB footprint.
+        const std::string syn =
+            "syn:hot:512:" + std::to_string(ops) + ":8:50";
+        auto base_spec = spec_with(syn, 16, true);
+        base_spec.policy = sim::PolicyKind::Base;
+        const auto runs = runAll({base_spec, spec_with(syn, 16, true),
+                                  spec_with(syn, 16, false)});
+        const auto &base = *runs[0];
+        const auto &on = *runs[1];
+        const auto &off = *runs[2];
         Table table({"config", "speedup", "ptw %", "promotions"});
         table.row({"base-4k", "1.000",
                    Table::fmt(base.job().ptwPercent(), 2), "0"});

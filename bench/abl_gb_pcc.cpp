@@ -17,10 +17,7 @@
 
 #include "common.hpp"
 #include "pcc/pcc_unit.hpp"
-#include "sim/system.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
-#include "workloads/synthetic.hpp"
 
 using namespace pccsim;
 using namespace pccsim::bench;
@@ -127,43 +124,37 @@ main(int argc, char **argv)
     // full gigabytes — 2MB candidates thrash the 2MB PCC, the 1GB PCC
     // accumulates, and the OS collapses whole gigabytes.
     {
-        workloads::SyntheticSpec sspec;
-        sspec.pattern = workloads::Pattern::HotRegions;
-        sspec.footprint_bytes = 2ull << 30;
-        sspec.hot_regions = 1024; // the whole footprint, sparsely
         // Long enough that 2MB promotion completes mid-run and the
         // remaining intervals expose sustained 2MB-mapped walk
         // pressure — the Sec. 3.2.3 trigger.
-        sspec.ops =
+        const u64 ops =
             env.scale == workloads::Scale::Ci ? 3'000'000 : 8'000'000;
-        sspec.seed = env.seed;
-
-        auto run_with = [&](const bool &enable_1g) {
-            workloads::SyntheticWorkload w(sspec);
-            sim::SystemConfig cfg =
-                sim::SystemConfig::forScale(env.scale);
-            cfg.policy = enable_1g ? sim::PolicyKind::Pcc
-                                   : sim::PolicyKind::Base;
-            cfg.phys_headroom = 2.5; // keep pristine gigabytes around
-            cfg.pcc.enable_1g = enable_1g;
-            cfg.pcc_policy.promote_1g = enable_1g;
-            // Several promotion rounds regardless of scale profile:
-            // the 1GB decision needs 2MB-mapped walk pressure to have
-            // accumulated before the run ends.
-            cfg.interval_accesses = sspec.ops / 14;
+        const std::string syn = "syn:hot:2048:" + std::to_string(ops) +
+                                ":1024"; // the whole footprint, sparsely
+        std::vector<sim::ExperimentSpec> specs;
+        for (const bool enable_1g : {false, true}) {
+            auto spec = env.spec(syn, enable_1g ? sim::PolicyKind::Pcc
+                                                : sim::PolicyKind::Base);
+            spec.pcc_policy.promote_1g = enable_1g;
             // With 8-bit decaying counters the idealized 512x rule can
             // only fire against cold 2MB constituents; 64 is the
             // equivalent operating point at this counter width.
-            cfg.pcc_policy.ratio_1g = 64;
-            sim::System system(cfg);
-            return system.run(w);
-        };
-        // The pair is independent; overlap the two raw-System runs.
-        util::ThreadPool pool(env.jobs);
-        const auto runs =
-            pool.parallelMap(std::vector<bool>{false, true}, run_with);
-        const auto &base = runs[0];
-        const auto &with_1g = runs[1];
+            spec.pcc_policy.ratio_1g = 64;
+            // Several promotion rounds regardless of scale profile:
+            // the 1GB decision needs 2MB-mapped walk pressure to have
+            // accumulated before the run ends.
+            spec.interval_accesses = ops / 14;
+            spec.tweak = [enable_1g](sim::SystemConfig &cfg) {
+                cfg.phys_headroom = 2.5; // keep pristine gigabytes around
+                cfg.pcc.enable_1g = enable_1g;
+            };
+            spec.tweak_key = std::string("headroom=2.5,pcc1g=") +
+                             (enable_1g ? "on" : "off");
+            specs.push_back(std::move(spec));
+        }
+        const auto runs = runAll(specs);
+        const auto &base = *runs[0];
+        const auto &with_1g = *runs[1];
         Table sys({"config", "speedup", "2MB promos", "1GB promos",
                    "ptw %"});
         sys.row({"base-4k", "1.000", "0", "0",

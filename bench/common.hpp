@@ -204,9 +204,8 @@ exportReport()
     // noteResult), which would schedule its destructor *before* the
     // atexit export hooks registered back at parse() time — the hooks
     // would then read a freed report whenever nothing else (e.g. the
-    // global runner's memo) still holds a reference, as with fig10's
-    // raw-System sweeps. An immortal pointer keeps exit-time reads
-    // valid; the OS reclaims it anyway.
+    // global runner's memo) still holds a reference. An immortal
+    // pointer keeps exit-time reads valid; the OS reclaims it anyway.
     static auto *report =
         new std::shared_ptr<const telemetry::TelemetryReport>();
     return *report;
@@ -392,7 +391,6 @@ struct BenchEnv
     u64 seed = 42;
     bool csv = false;
     telemetry::Format format = telemetry::Format::Text;
-    u32 jobs = 1; //!< resolved worker count of the global runner
     /** --policy override for harnesses that honor one (bare legacy
      *  keys land here; parameterized/contender selectors land in
      *  policy_str — see policySelector()). */
@@ -472,7 +470,6 @@ struct BenchEnv
         if (opts.has("resume"))
             runner_options.journal_path = opts.get("resume");
         sim::Runner::setGlobalOptions(runner_options);
-        env.jobs = sim::Runner::global().jobs();
         if (opts.has("oracle")) {
             env.oracle.enabled = true;
             const i64 every = opts.getInt("oracle", 0);
@@ -556,6 +553,21 @@ struct BenchEnv
         return s;
     }
 
+    /**
+     * Exit 1 when --oracle or --sample is set: `what` runs tenant-mode
+     * specs, which SystemConfig::validate() keeps from both.
+     */
+    void
+    rejectOracleAndSampling(const std::string &what) const
+    {
+        if (oracle.enabled || sampling.enabled()) {
+            fatal(oracle.enabled ? "--oracle" : "--sample",
+                  " cannot be honoured by ", what,
+                  ": tenant-mode runs support neither the differential "
+                  "oracle nor sampling");
+        }
+    }
+
     void
     emit(const Table &table, const std::string &title) const
     {
@@ -628,6 +640,25 @@ class BaselineCache
     const BenchEnv &env_;
     std::map<std::string, std::shared_ptr<const sim::RunResult>> cache_;
 };
+
+/**
+ * Make `spec` a tenant node (tenant/tenant.hpp): its workload and
+ * co-runners time-share one core, switching with `mode` every
+ * `quantum` ops.
+ */
+inline void
+shareOneCore(sim::ExperimentSpec &spec, tenant::SwitchMode mode,
+             u32 quantum)
+{
+    spec.tweak = [mode, quantum](sim::SystemConfig &cfg) {
+        cfg.num_cores = 1;
+        cfg.tenant.cores = 1;
+        cfg.tenant.switch_mode = mode;
+        cfg.tenant.quantum_ops = quantum;
+    };
+    spec.tweak_key = "tenant-cores=1,switch=" + tenant::to_string(mode) +
+                     ",quantum=" + std::to_string(quantum);
+}
 
 /** Render the utility-cap x-axis value the way the paper labels it. */
 inline std::string

@@ -13,8 +13,6 @@
  */
 
 #include "common.hpp"
-#include "util/thread_pool.hpp"
-#include "workloads/synthetic.hpp"
 
 using namespace pccsim;
 using namespace pccsim::bench;
@@ -33,21 +31,45 @@ main(int argc, char **argv)
     BaselineCache baselines(env);
     baselines.prefetch(env.apps);
 
-    // One batch: every (app x PCC size) point plus each app's ideal.
-    // The tweak carries a key, so the points are memoizable and the
-    // whole grid fans out across --jobs workers.
+    // One batch: every (app x PCC size) point plus each app's ideal,
+    // then the controlled sweep. The tweak carries a key, so the points
+    // are memoizable and the whole grid fans out across --jobs workers.
+    const auto sized = [](sim::ExperimentSpec spec, u32 size) {
+        spec.tweak = [size](sim::SystemConfig &cfg) {
+            cfg.pcc.pcc2m.entries = size;
+        };
+        spec.tweak_key = "pcc2m=" + std::to_string(size);
+        return spec;
+    };
     std::vector<sim::ExperimentSpec> specs;
     for (const auto &app : env.apps) {
         for (u32 size : kSizes) {
             auto spec = env.spec(app, sim::PolicyKind::Pcc);
             spec.cap_percent = 32.0;
-            spec.tweak = [size](sim::SystemConfig &cfg) {
-                cfg.pcc.pcc2m.entries = size;
-            };
-            spec.tweak_key = "pcc2m=" + std::to_string(size);
-            specs.push_back(std::move(spec));
+            specs.push_back(sized(std::move(spec), size));
         }
         specs.push_back(env.spec(app, sim::PolicyKind::AllHuge));
+    }
+
+    // Controlled synthetic: 256 hot regions out of 512, so the
+    // plateau must land between 128 and 256 entries as in the paper.
+    // Its 4KB baseline comes first, then the PCC sizes.
+    const u64 syn_ops =
+        env.scale == workloads::Scale::Ci ? 2'000'000 : 8'000'000;
+    const std::string syn =
+        "syn:hot:1024:" + std::to_string(syn_ops) + ":256";
+    const size_t syn_first = specs.size();
+    auto syn_base = env.spec(syn, sim::PolicyKind::Base);
+    syn_base.cap_percent = 0.0;
+    specs.push_back(std::move(syn_base));
+    for (u32 size : kSizes) {
+        auto spec = env.spec(syn, sim::PolicyKind::Pcc);
+        spec.cap_percent = 64.0;
+        // Match the paper's interval count (a handful of promotion
+        // rounds per run) so the per-interval budget C — the PCC
+        // size — is what limits small configurations.
+        spec.interval_accesses = syn_ops / 5;
+        specs.push_back(sized(std::move(spec), size));
     }
     const auto results = runAll(specs);
 
@@ -69,55 +91,15 @@ main(int argc, char **argv)
     }
     env.emit(table, "Fig. 6: speedup vs PCC entries (cap 32%)");
 
-    // Controlled synthetic: 256 hot regions out of 512, so the
-    // plateau must land between 128 and 256 entries as in the paper.
-    // Runs use raw Systems (the synthetic workload is not in the
-    // registry), parallelized directly on a worker pool; each task
-    // builds its own workload + System, so runs stay independent and
-    // the output order is the input order.
-    {
-        workloads::SyntheticSpec sspec;
-        sspec.pattern = workloads::Pattern::HotRegions;
-        sspec.footprint_bytes = 1ull << 30;
-        sspec.hot_regions = 256;
-        sspec.ops = env.scale == workloads::Scale::Ci ? 2'000'000
-                                                      : 8'000'000;
-        sspec.seed = env.seed;
-
-        // Task 0 is the 4KB baseline; tasks 1..N sweep the PCC size.
-        std::vector<u32> tasks = {0};
-        tasks.insert(tasks.end(), kSizes.begin(), kSizes.end());
-        util::ThreadPool pool(env.jobs);
-        const auto runs = pool.parallelMap(tasks, [&](const u32 &size) {
-            sim::SystemConfig cfg = sim::SystemConfig::forScale(env.scale);
-            if (size == 0) {
-                cfg.policy = sim::PolicyKind::Base;
-                cfg.promotion_cap_percent = 0.0;
-            } else {
-                cfg.policy = sim::PolicyKind::Pcc;
-                cfg.promotion_cap_percent = 64.0;
-                cfg.pcc.pcc2m.entries = size;
-                // Match the paper's interval count (a handful of
-                // promotion rounds per run) so the per-interval budget
-                // C — the PCC size — is what limits small
-                // configurations.
-                cfg.interval_accesses = sspec.ops / 5;
-            }
-            workloads::SyntheticWorkload w(sspec);
-            sim::System sys(cfg);
-            return sys.run(w);
-        });
-
-        const auto &base = runs[0];
-        Table syn({"PCC entries", "speedup", "promotions"});
-        for (size_t s = 0; s < kSizes.size(); ++s) {
-            const auto &run = runs[s + 1];
-            syn.row({std::to_string(kSizes[s]),
-                     Table::fmt(sim::speedup(base, run), 3),
-                     std::to_string(run.job().promotions)});
-        }
-        env.emit(syn, "Fig. 6 (controlled): 256 hot regions");
+    const sim::RunResult &syn_baseline = *results[syn_first];
+    Table controlled({"PCC entries", "speedup", "promotions"});
+    for (size_t s = 0; s < kSizes.size(); ++s) {
+        const auto &run = *results[syn_first + 1 + s];
+        controlled.row({std::to_string(kSizes[s]),
+                        Table::fmt(sim::speedup(syn_baseline, run), 3),
+                        std::to_string(run.job().promotions)});
     }
+    env.emit(controlled, "Fig. 6 (controlled): 256 hot regions");
     emitTailSummary();
     emitTelemetryFooter();
     return 0;

@@ -11,11 +11,12 @@
  * funnels THPs to the sensitive process and performs slightly better;
  * with two sensitive processes the policies converge, with round
  * robin avoiding starvation.
+ *
+ * --oracle and --sample exit 1: the shared-core section (9c) runs in
+ * tenant mode, which supports neither.
  */
 
 #include "common.hpp"
-#include "util/thread_pool.hpp"
-#include "workloads/registry.hpp"
 
 using namespace pccsim;
 using namespace pccsim::bench;
@@ -30,36 +31,16 @@ struct PairResult
     u64 thps_b;
 };
 
-/** One grid point of a case study: arbitration policy x cap. */
-struct PairPoint
+/** `a` on core 0 with `b` co-running on core 1, both at env's seed. */
+sim::ExperimentSpec
+pairSpec(const BenchEnv &env, const std::string &a, const std::string &b,
+         sim::PolicyKind policy, double cap)
 {
-    sim::PolicyKind policy;
-    os::PromotionOrder order;
-    double cap;
-};
-
-sim::RunResult
-runPairOnce(const BenchEnv &env, const std::string &a,
-            const std::string &b, sim::PolicyKind policy,
-            os::PromotionOrder order, double cap)
-{
-    auto make = [&](const std::string &name) {
-        workloads::WorkloadSpec spec;
-        spec.name = name;
-        spec.scale = env.scale;
-        spec.seed = env.seed;
-        return workloads::makeWorkload(spec);
-    };
-    auto wa = make(a);
-    auto wb = make(b);
-    sim::SystemConfig cfg = sim::SystemConfig::forScale(env.scale);
-    cfg.num_cores = 2;
-    cfg.policy = policy;
-    cfg.promotion_cap_percent = cap;
-    cfg.pcc_policy.order = order;
-    sim::System system(cfg);
-    return system.run(
-        {sim::System::Job{wa.get(), 1}, sim::System::Job{wb.get(), 1}});
+    sim::ExperimentSpec spec = env.spec(a, policy);
+    spec.cap_percent = cap;
+    spec.corunners = {spec.workload};
+    spec.corunners[0].name = b;
+    return spec;
 }
 
 PairResult
@@ -73,35 +54,29 @@ void
 caseStudy(const BenchEnv &env, const std::string &a,
           const std::string &b, const std::string &title)
 {
-    // Two-job runs are not expressible as ExperimentSpecs, so the
-    // grid fans out directly on a worker pool: point 0 is the shared
-    // 4KB baseline, the last point the unconstrained ideal, and each
-    // task builds its own workloads + System (runs stay independent;
-    // parallelMap keeps input order).
-    std::vector<PairPoint> points;
-    points.push_back({sim::PolicyKind::Base,
-                      os::PromotionOrder::HighestFrequency, 0.0});
+    // Spec 0 is the shared 4KB baseline, the last the unconstrained
+    // ideal; between them each cap runs both arbitration orders.
+    std::vector<sim::ExperimentSpec> specs;
+    specs.push_back(pairSpec(env, a, b, sim::PolicyKind::Base, 0.0));
     for (double cap : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, -1.0}) {
-        points.push_back({sim::PolicyKind::Pcc,
-                          os::PromotionOrder::HighestFrequency, cap});
-        points.push_back(
-            {sim::PolicyKind::Pcc, os::PromotionOrder::RoundRobin, cap});
+        for (os::PromotionOrder order :
+             {os::PromotionOrder::HighestFrequency,
+              os::PromotionOrder::RoundRobin}) {
+            specs.push_back(pairSpec(env, a, b, sim::PolicyKind::Pcc, cap));
+            specs.back().pcc_policy.order = order;
+        }
     }
-    points.push_back({sim::PolicyKind::AllHuge,
-                      os::PromotionOrder::HighestFrequency, -1.0});
-
-    util::ThreadPool pool(env.jobs);
-    const auto runs = pool.parallelMap(points, [&](const PairPoint &p) {
-        return runPairOnce(env, a, b, p.policy, p.order, p.cap);
-    });
-    const auto &base = runs.front();
+    specs.push_back(pairSpec(env, a, b, sim::PolicyKind::AllHuge, -1.0));
+    const auto runs = runAll(specs);
+    const sim::RunResult &base = *runs.front();
 
     Table table({"cap %", "policy", a + " speedup", b + " speedup",
                  a + " THPs", b + " THPs"});
     for (size_t i = 1; i + 1 < runs.size(); ++i) {
-        const auto r = toPairResult(base, runs[i]);
-        table.row({capLabel(points[i].cap),
-                   points[i].order == os::PromotionOrder::RoundRobin
+        const auto r = toPairResult(base, *runs[i]);
+        table.row({capLabel(specs[i].cap_percent),
+                   specs[i].pcc_policy.order ==
+                           os::PromotionOrder::RoundRobin
                        ? "round-robin"
                        : "highest-freq",
                    Table::fmt(r.speedup_a, 3),
@@ -110,7 +85,7 @@ caseStudy(const BenchEnv &env, const std::string &a,
                    std::to_string(r.thps_b)});
     }
     // Reference: unconstrained ideal.
-    const auto ideal = toPairResult(base, runs.back());
+    const auto ideal = toPairResult(base, *runs.back());
     env.emit(table, title);
     std::printf("  ideal: %s=%.3f %s=%.3f (THPs %llu / %llu)\n\n",
                 a.c_str(), ideal.speedup_a, b.c_str(), ideal.speedup_b,
@@ -129,30 +104,17 @@ void
 switchModeStudy(const BenchEnv &env, const std::string &a,
                 const std::string &b)
 {
-    auto runMode = [&](tenant::SwitchMode mode) {
-        auto make = [&](const std::string &name, u64 seed) {
-            workloads::WorkloadSpec spec;
-            spec.name = name;
-            spec.scale = env.scale;
-            spec.seed = seed;
-            return workloads::makeWorkload(spec);
-        };
-        auto wa = make(a, env.seed);
-        auto wb = make(b, env.seed + 1);
-        sim::SystemConfig cfg = sim::SystemConfig::forScale(env.scale);
-        cfg.num_cores = 1;
-        cfg.tenant.cores = 1;
-        cfg.tenant.switch_mode = mode;
-        cfg.tenant.quantum_ops = 1024;
-        cfg.policy = sim::PolicyKind::Pcc;
-        cfg.telemetry.enabled = true;
-        cfg.seed = env.seed;
-        sim::System system(cfg);
-        return system.run(
-            {sim::System::Job{wa.get(), 1}, sim::System::Job{wb.get(), 1}});
-    };
-    const auto flush = runMode(tenant::SwitchMode::Flush);
-    const auto asid = runMode(tenant::SwitchMode::Asid);
+    std::vector<sim::ExperimentSpec> specs;
+    for (tenant::SwitchMode mode :
+         {tenant::SwitchMode::Flush, tenant::SwitchMode::Asid}) {
+        sim::ExperimentSpec spec =
+            pairSpec(env, a, b, sim::PolicyKind::Pcc, -1.0);
+        spec.corunners[0].seed = env.seed + 1;
+        spec.telemetry.enabled = true;
+        shareOneCore(spec, mode, 1024);
+        specs.push_back(std::move(spec));
+    }
+    const auto runs = runAll(specs);
 
     Table table({"switch", a + " walks", b + " walks", "miss %",
                  "wall Mcyc"});
@@ -168,8 +130,8 @@ switchModeStudy(const BenchEnv &env, const std::string &a,
                    Table::fmt(static_cast<double>(r.wall_cycles) / 1e6,
                               1)});
     };
-    addRow("flush", flush);
-    addRow("asid", asid);
+    addRow("flush", *runs[0]);
+    addRow("asid", *runs[1]);
     env.emit(table, "Fig. 9c: " + a + " + " + b +
                         " time-sharing one core (flush vs ASID)");
 }
@@ -180,10 +142,12 @@ int
 main(int argc, char **argv)
 {
     BenchEnv env = BenchEnv::parse(argc, argv, {});
+    env.rejectOracleAndSampling("fig09c's time-shared core");
     caseStudy(env, "pr", "mcf",
               "Fig. 9a: TLB-sensitive (pr) + insensitive (mcf)");
     caseStudy(env, "pr", "sssp",
               "Fig. 9b: two TLB-sensitive applications (pr + sssp)");
     switchModeStudy(env, "pr", "mcf");
+    emitTailSummary();
     return 0;
 }

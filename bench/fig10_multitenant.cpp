@@ -31,13 +31,11 @@
  *                        (1-tenant bit-identity vs the legacy path,
  *                        multi-tenant determinism, ASID < flush) and
  *                        exit nonzero on the first violation
+ *
+ * --oracle and --sample exit 1: tenant-mode runs support neither.
  */
 
-#include <memory>
-
 #include "common.hpp"
-#include "util/thread_pool.hpp"
-#include "workloads/registry.hpp"
 
 using namespace pccsim;
 using namespace pccsim::bench;
@@ -74,65 +72,38 @@ splitList(const std::string &csv)
     return out;
 }
 
-sim::SystemConfig
-tenantConfig(const BenchEnv &env, const SweepOptions &sweep,
-             const std::string &arbiter, tenant::SwitchMode mode,
-             double frag)
+/**
+ * One sweep point: `tenants` single-lane tenants (apps round-robin,
+ * per-tenant seeds) time-sharing one core, or, with `share` false,
+ * the first tenant alone on the single-process path.
+ */
+sim::ExperimentSpec
+tenantSpec(const BenchEnv &env, const SweepOptions &sweep, const Point &p,
+           bool share = true)
 {
-    sim::SystemConfig cfg = sim::SystemConfig::forScale(env.scale);
-    cfg.num_cores = 1;
-    cfg.tenant.cores = 1;
-    cfg.tenant.switch_mode = mode;
-    cfg.tenant.quantum_ops = sweep.quantum;
-    cfg.policy = sim::PolicyKind::Pcc;
+    sim::ExperimentSpec spec = env.spec(env.apps.front(),
+                                        sim::PolicyKind::Pcc);
     // Registry selectors (trident, ubpf:prog=topk, pcc:promote=8, ...)
     // flow straight into the tenant sweep: the regret scoreboard ranks
     // whatever contender --policy selects.
     if (const std::string sel = env.policySelector(); !sel.empty()) {
-        if (const auto st = sim::applyPolicySelector(cfg, sel); !st.ok())
+        if (const auto st = sim::applyPolicySelector(spec, sel); !st.ok())
             fatal(st.toString());
     }
-    cfg.hw = env.hw;
-    cfg.pcc_policy.arbiter = arbiter;
-    cfg.pcc_policy.regions_to_promote = sweep.budget;
-    cfg.frag_fraction = frag;
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.audit = true;
-    // --histograms rides along: the sweep's first run then feeds the
-    // tail summary and gives --trace exports per-tenant pid lanes.
-    cfg.telemetry.histograms = env.telemetry.histograms;
-    cfg.telemetry.exemplar_k = env.telemetry.exemplar_k;
-    cfg.seed = env.seed;
-    return cfg;
-}
-
-/** Build the tenants' workloads: apps round-robin, per-tenant seeds. */
-std::vector<std::unique_ptr<workloads::Workload>>
-tenantWorkloads(const BenchEnv &env, u32 tenants)
-{
-    std::vector<std::unique_ptr<workloads::Workload>> ws;
-    ws.reserve(tenants);
-    for (u32 t = 0; t < tenants; ++t) {
-        workloads::WorkloadSpec spec;
-        spec.name = env.apps[t % env.apps.size()];
-        spec.scale = env.scale;
-        spec.seed = env.seed + t;
-        ws.push_back(workloads::makeWorkload(spec));
+    for (u32 t = 1; t < p.tenants; ++t) {
+        workloads::WorkloadSpec next = spec.workload;
+        next.name = env.apps[t % env.apps.size()];
+        next.seed = env.seed + t;
+        spec.corunners.push_back(std::move(next));
     }
-    return ws;
-}
-
-sim::RunResult
-runPoint(const BenchEnv &env, const SweepOptions &sweep, const Point &p)
-{
-    auto ws = tenantWorkloads(env, p.tenants);
-    sim::System system(
-        tenantConfig(env, sweep, p.arbiter, p.mode, p.frag));
-    std::vector<sim::System::Job> jobs;
-    jobs.reserve(ws.size());
-    for (auto &w : ws)
-        jobs.push_back({w.get(), 1});
-    return system.run(std::move(jobs));
+    spec.pcc_policy.arbiter = p.arbiter;
+    spec.pcc_policy.regions_to_promote = sweep.budget;
+    spec.frag_fraction = p.frag;
+    spec.telemetry.enabled = true;
+    spec.telemetry.audit = true;
+    if (share)
+        shareOneCore(spec, p.mode, sweep.quantum);
+    return spec;
 }
 
 u64
@@ -201,23 +172,16 @@ sweepTable(const BenchEnv &env, const SweepOptions &sweep)
         }
     }
 
-    // Multi-job runs are not expressible as ExperimentSpecs (same
-    // reason as fig09), so fan out directly on a worker pool;
-    // parallelMap keeps input order, so output is --jobs-invariant.
-    util::ThreadPool pool(env.jobs);
-    const auto runs = pool.parallelMap(points, [&](const Point &p) {
-        return runPoint(env, sweep, p);
-    });
+    std::vector<sim::ExperimentSpec> specs;
+    for (const Point &p : points)
+        specs.push_back(tenantSpec(env, sweep, p));
+    const auto runs = runAll(specs);
 
     Table table({"tenants", "frag", "arbiter", "switch", "wall Mcyc",
                  "walks", "miss %", "switches", "THPs", "compactions",
                  "budget skips", "regret Mcyc"});
     for (size_t i = 0; i < runs.size(); ++i) {
-        const auto &r = runs[i];
-        // Raw-System sweeps bypass runAll, so feed the exit exports
-        // (--trace/--telemetry/--histograms) here; input order makes
-        // "first report" --jobs-invariant.
-        bench::detail::noteResult(r);
+        const auto &r = *runs[i];
         table.row({std::to_string(points[i].tenants),
                    Table::fmt(points[i].frag, 2), points[i].arbiter,
                    tenant::to_string(points[i].mode),
@@ -240,42 +204,16 @@ sweepTable(const BenchEnv &env, const SweepOptions &sweep)
 
 // ---------------------------------------------------------- selfcheck
 
+// Each check runs fresh simulations (sim::runOne), never memo hits.
+
 bool
 checkOneTenantIdentity(const BenchEnv &env, const SweepOptions &sweep)
 {
     // A 1-tenant tenant-mode run must be stat-for-stat identical
     // (telemetry content included) to the legacy single-process path.
-    auto makeOne = [&] {
-        workloads::WorkloadSpec spec;
-        spec.name = env.apps.front();
-        spec.scale = env.scale;
-        spec.seed = env.seed;
-        return workloads::makeWorkload(spec);
-    };
-    sim::SystemConfig legacy_cfg = sim::SystemConfig::forScale(env.scale);
-    legacy_cfg.num_cores = 1;
-    legacy_cfg.policy = sim::PolicyKind::Pcc;
-    if (const std::string sel = env.policySelector(); !sel.empty()) {
-        if (const auto st = sim::applyPolicySelector(legacy_cfg, sel);
-            !st.ok()) {
-            fatal(st.toString());
-        }
-    }
-    legacy_cfg.hw = env.hw;
-    legacy_cfg.pcc_policy.regions_to_promote = sweep.budget;
-    legacy_cfg.telemetry.enabled = true;
-    legacy_cfg.telemetry.audit = true;
-    legacy_cfg.seed = env.seed;
-
-    auto legacy_w = makeOne();
-    sim::System legacy_sys(legacy_cfg);
-    const auto legacy = legacy_sys.run(*legacy_w);
-
-    auto tenant_w = makeOne();
-    sim::System tenant_sys(tenantConfig(
-        env, sweep, /*arbiter=*/"", tenant::SwitchMode::Asid, 0.0));
-    const auto tenanted = tenant_sys.run(*tenant_w);
-
+    const Point p{1, 0.0, "", tenant::SwitchMode::Asid};
+    const auto legacy = sim::runOne(tenantSpec(env, sweep, p, false));
+    const auto tenanted = sim::runOne(tenantSpec(env, sweep, p));
     if (!(legacy == tenanted)) {
         std::printf("selfcheck FAILED: 1-tenant ASID run diverged from "
                     "the legacy path (wall %llu vs %llu, walks %llu vs "
@@ -293,9 +231,10 @@ checkOneTenantIdentity(const BenchEnv &env, const SweepOptions &sweep)
 bool
 checkDeterminism(const BenchEnv &env, const SweepOptions &sweep)
 {
-    const Point p{2, 0.0, "static", tenant::SwitchMode::Asid};
-    const auto r1 = runPoint(env, sweep, p);
-    const auto r2 = runPoint(env, sweep, p);
+    const auto spec = tenantSpec(
+        env, sweep, {2, 0.0, "static", tenant::SwitchMode::Asid});
+    const auto r1 = sim::runOne(spec);
+    const auto r2 = sim::runOne(spec);
     if (!(r1 == r2)) {
         std::printf("selfcheck FAILED: repeated 2-tenant run is not "
                     "deterministic\n");
@@ -308,10 +247,10 @@ checkDeterminism(const BenchEnv &env, const SweepOptions &sweep)
 bool
 checkAsidBeatsFlush(const BenchEnv &env, const SweepOptions &sweep)
 {
-    const auto flush = runPoint(
-        env, sweep, {2, 0.0, "greedy", tenant::SwitchMode::Flush});
-    const auto asid = runPoint(
-        env, sweep, {2, 0.0, "greedy", tenant::SwitchMode::Asid});
+    const auto flush = sim::runOne(tenantSpec(
+        env, sweep, {2, 0.0, "greedy", tenant::SwitchMode::Flush}));
+    const auto asid = sim::runOne(tenantSpec(
+        env, sweep, {2, 0.0, "greedy", tenant::SwitchMode::Asid}));
     if (totalWalks(asid) >= totalWalks(flush)) {
         std::printf("selfcheck FAILED: ASID walks (%llu) not below "
                     "flush-on-switch walks (%llu)\n",
@@ -332,6 +271,7 @@ int
 main(int argc, char **argv)
 {
     BenchEnv env = BenchEnv::parse(argc, argv, {"pr", "mcf"});
+    env.rejectOracleAndSampling("fig10's tenant sweep");
     Options opts(argc, argv);
 
     SweepOptions sweep;

@@ -14,11 +14,9 @@
 #include <cstdio>
 
 #include "sim/experiment.hpp"
-#include "sim/system.hpp"
 #include "telemetry/emitter.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
-#include "workloads/registry.hpp"
 
 using namespace pccsim;
 
@@ -28,23 +26,15 @@ sim::RunResult
 runPair(workloads::Scale scale, double frag, sim::PolicyKind policy,
         const std::vector<Pid> &bias, u64 seed)
 {
-    workloads::WorkloadSpec pr_spec{"pr", scale,
-                                    graph::NetworkKind::Kronecker,
-                                    false, seed};
-    workloads::WorkloadSpec dd_spec{"dedup", scale,
-                                    graph::NetworkKind::Kronecker,
-                                    false, seed};
-    auto pr = workloads::makeWorkload(pr_spec);
-    auto dedup = workloads::makeWorkload(dd_spec);
-
-    sim::SystemConfig cfg = sim::SystemConfig::forScale(scale);
-    cfg.num_cores = 2;
-    cfg.policy = policy;
-    cfg.frag_fraction = policy == sim::PolicyKind::Base ? 0.0 : frag;
-    cfg.pcc_policy.bias_pids = bias;
-    sim::System system(cfg);
-    return system.run(
-        {sim::System::Job{pr.get(), 1}, sim::System::Job{dedup.get(), 1}});
+    sim::ExperimentSpec spec;
+    spec.workload = {"pr", scale, graph::NetworkKind::Kronecker, false,
+                     seed};
+    spec.corunners = {spec.workload};
+    spec.corunners[0].name = "dedup";
+    spec.policy = policy;
+    spec.frag_fraction = policy == sim::PolicyKind::Base ? 0.0 : frag;
+    spec.pcc_policy.bias_pids = bias;
+    return sim::runOne(spec);
 }
 
 } // namespace

@@ -18,28 +18,10 @@
 #include <cstdio>
 
 #include "sim/experiment.hpp"
-#include "sim/system.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
-#include "workloads/synthetic.hpp"
 
 using namespace pccsim;
-
-namespace {
-
-workloads::SyntheticSpec
-workloadSpec(u64 seed)
-{
-    workloads::SyntheticSpec spec;
-    spec.pattern = workloads::Pattern::HotRegions;
-    spec.footprint_bytes = 64ull << 20;
-    spec.hot_regions = 8;
-    spec.ops = 1'500'000;
-    spec.seed = seed;
-    return spec;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -50,27 +32,26 @@ main(int argc, char **argv)
     const auto scale = workloads::scaleFromString(opts.get("scale", "ci"));
     const u64 seed = static_cast<u64>(opts.getInt("seed", 1));
 
-    sim::SystemConfig clean_cfg = sim::SystemConfig::forScale(scale);
-    clean_cfg.policy = sim::PolicyKind::Pcc;
-    clean_cfg.promotion_cap_percent = 50.0;
-    clean_cfg.seed = seed;
+    // 8 hot 2MB regions in a 64MB footprint.
+    sim::ExperimentSpec clean_spec;
+    clean_spec.workload.name = "syn:hot:64:1500000:8";
+    clean_spec.workload.scale = scale;
+    clean_spec.workload.seed = seed;
+    clean_spec.policy = sim::PolicyKind::Pcc;
+    clean_spec.cap_percent = 50.0;
 
-    sim::SystemConfig storm_cfg = clean_cfg;
-    storm_cfg.faults.alloc_fail_huge = opts.getDouble("huge-fail", 0.4);
-    storm_cfg.faults.alloc_fail_base = 0.02;
-    storm_cfg.faults.compaction_fail =
-        opts.getDouble("compaction-fail", 0.3);
-    storm_cfg.faults.compaction_partial = 0.3;
-    storm_cfg.faults.shootdown_storm = opts.getDouble("storm", 0.2);
-    storm_cfg.faults.shock_intervals = {2, 5};
-    storm_cfg.check_invariants = true;
+    sim::ExperimentSpec storm_spec = clean_spec;
+    sim::FaultConfig &faults = storm_spec.faults;
+    faults.alloc_fail_huge = opts.getDouble("huge-fail", 0.4);
+    faults.alloc_fail_base = 0.02;
+    faults.compaction_fail = opts.getDouble("compaction-fail", 0.3);
+    faults.compaction_partial = 0.3;
+    faults.shootdown_storm = opts.getDouble("storm", 0.2);
+    faults.shock_intervals = {2, 5};
+    storm_spec.check_invariants = true;
 
-    workloads::SyntheticWorkload clean_w(workloadSpec(seed));
-    workloads::SyntheticWorkload storm_w(workloadSpec(seed));
-    sim::System clean_sys(clean_cfg);
-    sim::System storm_sys(storm_cfg);
-    const auto clean = clean_sys.run(clean_w);
-    const auto storm = storm_sys.run(storm_w);
+    const auto clean = sim::runOne(clean_spec);
+    const auto storm = sim::runOne(storm_spec);
 
     Table table({"metric", "clean", "under storm"});
     auto row = [&](const char *metric, u64 a, u64 b) {

@@ -6,6 +6,10 @@
  * trace into a fresh run, standing in for the authors' modified Linux
  * kernel consuming an offline PCC trace.
  *
+ * The one harness that builds sim::System directly instead of running
+ * an ExperimentSpec: it reads the recorder's System::recordedTrace(),
+ * which a RunResult does not carry.
+ *
  * Usage:
  *   trace_replay --workload=bfs --scale=ci --trace=/tmp/bfs.trace
  */

@@ -16,11 +16,13 @@
 #   thread | tsan         ThreadSanitizer on the concurrent machinery
 #                         (the Runner, SpecKey, ThreadPool and cache
 #                         tape store tests)
-#   determinism           fig06_pcc_size --scale=ci --jobs=4 must emit
-#                         byte-identical CSV to --jobs=1
+#   determinism           fig06_pcc_size and fig09_multiprocess
+#                         --scale=ci --jobs=4 must emit byte-identical
+#                         CSV to --jobs=1
 #   telemetry             fig06 with --telemetry/--trace exports must
 #                         emit JSON that parses with the expected
-#                         top-level keys, identically at --jobs=2
+#                         top-level keys, identically at --jobs=2, and
+#                         fig09 --telemetry=F must write F
 #   attribution           quickstart --attribution/--audit exports and
 #                         stdout must validate and be byte-identical
 #                         between --jobs=1 and --jobs=4
@@ -50,7 +52,9 @@
 #                         run bit-identical to the legacy path,
 #                         multi-tenant determinism, ASID < flush
 #                         walks), then a reduced sweep must emit
-#                         byte-identical CSV at --jobs=1 and --jobs=4
+#                         byte-identical CSV at --jobs=1 and --jobs=4,
+#                         and --oracle (which tenant mode cannot
+#                         honour) must exit 1
 #   histograms            tail-latency telemetry: --histograms must be
 #                         metrics-neutral (plain output is a byte
 #                         prefix of the histogram run), byte-identical
@@ -73,30 +77,33 @@ cd "$(dirname "$0")/.."
 run_determinism() {
     echo "==> [determinism] configuring build-det"
     cmake -B build-det -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    echo "==> [determinism] building fig06_pcc_size"
+    echo "==> [determinism] building fig06_pcc_size + fig09_multiprocess"
     cmake --build build-det -j "$(nproc)" --target fig06_pcc_size \
-        >/dev/null
-    echo "==> [determinism] fig06 --jobs=4 vs --jobs=1 CSV diff"
+        --target fig09_multiprocess >/dev/null
     local tmp
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' RETURN
-    ./build-det/bench/fig06_pcc_size --scale=ci --csv --jobs=1 \
-        > "$tmp/serial.csv"
-    ./build-det/bench/fig06_pcc_size --scale=ci --csv --jobs=4 \
-        > "$tmp/parallel.csv"
-    if ! diff -u "$tmp/serial.csv" "$tmp/parallel.csv"; then
-        echo "determinism gate FAILED: parallel output diverged" >&2
-        return 1
-    fi
+    for harness in fig06_pcc_size fig09_multiprocess; do
+        echo "==> [determinism] $harness --jobs=4 vs --jobs=1 CSV diff"
+        ./build-det/bench/"$harness" --scale=ci --csv --jobs=1 \
+            > "$tmp/serial.csv"
+        ./build-det/bench/"$harness" --scale=ci --csv --jobs=4 \
+            > "$tmp/parallel.csv"
+        if ! diff -u "$tmp/serial.csv" "$tmp/parallel.csv"; then
+            echo "determinism gate FAILED: $harness parallel output" \
+                 "diverged" >&2
+            return 1
+        fi
+    done
     echo "==> [determinism] clean (byte-identical output)"
 }
 
 run_telemetry() {
     echo "==> [telemetry] configuring build-det"
     cmake -B build-det -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    echo "==> [telemetry] building fig06_pcc_size"
+    echo "==> [telemetry] building fig06_pcc_size + fig09_multiprocess"
     cmake --build build-det -j "$(nproc)" --target fig06_pcc_size \
-        >/dev/null
+        --target fig09_multiprocess >/dev/null
     echo "==> [telemetry] exporting series + trace at --jobs=1 and --jobs=2"
     local tmp
     tmp=$(mktemp -d)
@@ -135,6 +142,15 @@ for name in ("series", "trace"):
     assert a == b, f"{name} export diverged between --jobs=1 and 2"
 print("telemetry exports validate")
 PYEOF
+    echo "==> [telemetry] fig09 --telemetry=F writes F"
+    ./build-det/bench/fig09_multiprocess --scale=ci --csv \
+        --telemetry="$tmp/fig09.json" > /dev/null
+    if ! python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+            "$tmp/fig09.json"; then
+        echo "telemetry gate FAILED: fig09 --telemetry wrote no" \
+             "valid JSON" >&2
+        return 1
+    fi
     echo "==> [telemetry] clean"
 }
 
@@ -375,6 +391,14 @@ run_tenant() {
         > "$tmp/parallel.csv"
     if ! diff -u "$tmp/serial.csv" "$tmp/parallel.csv"; then
         echo "tenant gate FAILED: parallel output diverged" >&2
+        return 1
+    fi
+    echo "==> [tenant] --oracle must be refused, not ignored"
+    local status=0
+    ./build-det/bench/fig10_multitenant "${sweep_args[@]}" --oracle \
+        > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "tenant gate FAILED: fig10 --oracle exited $status, not 1" >&2
         return 1
     fi
     echo "==> [tenant] clean (selfcheck passed, byte-identical output)"

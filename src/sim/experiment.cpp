@@ -11,7 +11,8 @@ SystemConfig
 configFor(const ExperimentSpec &spec)
 {
     SystemConfig cfg = SystemConfig::forScale(spec.workload.scale);
-    cfg.num_cores = std::max<u32>(1, spec.lanes);
+    cfg.num_cores = std::max<u32>(1, spec.lanes) +
+                    static_cast<u32>(spec.corunners.size());
     cfg.policy = spec.policy;
     cfg.policy_str = spec.policy_str;
     cfg.hw = spec.hw;
@@ -86,12 +87,19 @@ RunResult
 runOne(const ExperimentSpec &spec, std::atomic<u64> *progress,
        const std::atomic<bool> *cancel, CacheTapeStore *tapes)
 {
-    auto workload = workloads::makeWorkload(spec.workload);
+    std::vector<workloads::WorkloadPtr> owned;
+    std::vector<System::Job> jobs;
+    owned.push_back(workloads::makeWorkload(spec.workload));
+    jobs.push_back({owned.back().get(), spec.lanes});
+    for (const workloads::WorkloadSpec &corunner : spec.corunners) {
+        owned.push_back(workloads::makeWorkload(corunner));
+        jobs.push_back({owned.back().get(), 1});
+    }
     SystemConfig cfg = configFor(spec);
     cfg.progress = progress;
     cfg.cancel = cancel;
     System system(std::move(cfg));
-    return system.run(*workload, spec.lanes, tapes,
+    return system.run(std::move(jobs), tapes,
                       tapes ? workloadKey(spec) : std::string());
 }
 

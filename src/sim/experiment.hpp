@@ -22,6 +22,13 @@ struct ExperimentSpec
 {
     workloads::WorkloadSpec workload{};
     u32 lanes = 1;
+    /**
+     * Workloads co-running beside `workload`, in order: each runs one
+     * lane as its own process, pids 1, 2, ... after `workload`'s 0.
+     * Without tenant mode each gets its own core (configFor counts
+     * them into num_cores); with it (a `tweak`) they time-share.
+     */
+    std::vector<workloads::WorkloadSpec> corunners;
     PolicyKind policy = PolicyKind::Base;
     /**
      * Registry policy selector; overrides `policy` when non-empty.

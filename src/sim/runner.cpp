@@ -133,6 +133,13 @@ workloadKey(const ExperimentSpec &spec)
     os << w.name << '|' << static_cast<int>(w.scale) << '|'
        << static_cast<int>(w.network) << '|' << w.dbg_sorted << '|'
        << w.seed << '|' << spec.lanes;
+    // Appended only when present, so every one-workload spec keeps the
+    // exact key (journals, memos) it had before co-runners existed.
+    for (const workloads::WorkloadSpec &c : spec.corunners) {
+        os << "|co=" << c.name << ',' << static_cast<int>(c.scale) << ','
+           << static_cast<int>(c.network) << ',' << c.dbg_sorted << ','
+           << c.seed;
+    }
     return os.str();
 }
 
@@ -152,6 +159,9 @@ specKey(const ExperimentSpec &spec)
         os << ',' << pid;
     os << '|' << p.allow_compaction << p.demote_on_pressure << '|'
        << p.min_frequency << '|' << p.promote_1g << '|' << p.ratio_1g;
+    // Appended only when set, like the selectors below.
+    if (!p.arbiter.empty())
+        os << "|arbiter=" << p.arbiter;
     // Telemetry settings change the attached report (part of RunResult
     // equality), so they must be part of the memo identity too.
     const auto &t = spec.telemetry;

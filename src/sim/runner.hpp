@@ -72,10 +72,10 @@ namespace pccsim::sim {
 std::string specKey(const ExperimentSpec &spec);
 
 /**
- * The access-stream part of specKey(): the workload spec and lanes.
- * Runs with equal workload keys feed their cores identical access
- * streams whatever their policy, which is what lets a Runner share
- * data-cache tapes (sim/cache_tape.hpp) between them.
+ * The access-stream part of specKey(): the workload spec, lanes and
+ * co-runners. Runs with equal workload keys feed their cores identical
+ * access streams whatever their policy, which is what lets a Runner
+ * share data-cache tapes (sim/cache_tape.hpp) between them.
  */
 std::string workloadKey(const ExperimentSpec &spec);
 

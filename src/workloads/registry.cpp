@@ -205,10 +205,12 @@ class GraphCache
 };
 
 /**
- * Parse "syn:<pattern>:<footprintMB>:<ops>:<hot_regions>" (fields after
- * the pattern optional, later fields require earlier ones). Patterns:
- * uniform | zipf | seq | hot | spin. Used by the fuzz harness to name
- * fully-parameterized synthetic workloads inside a spec string.
+ * Parse "syn:<pattern>:<footprintMB>:<ops>:<hot_regions>:<hot_percent>"
+ * (fields after the pattern optional, later fields require earlier
+ * ones; hot_percent, 1-100, is the share of accesses hitting the hot
+ * set, 90 when absent). Patterns: uniform | zipf | seq | hot | spin.
+ * Names fully-parameterized synthetic workloads inside a spec string,
+ * for the fuzz harness and the controlled sensitivity studies.
  */
 WorkloadPtr
 makeSynthetic(const WorkloadSpec &spec)
@@ -254,6 +256,12 @@ makeSynthetic(const WorkloadSpec &spec)
     }
     nextU64("ops", syn.ops);
     nextU64("hot_regions", syn.hot_regions);
+    if (u64 hot_percent = 0; nextU64("hot_percent", hot_percent)) {
+        if (hot_percent < 1 || hot_percent > 100)
+            fatal("synthetic workload '", spec.name,
+                  "': hot_percent must be 1-100");
+        syn.hot_fraction = static_cast<double>(hot_percent) / 100.0;
+    }
     if (std::getline(is, field, ':'))
         fatal("synthetic workload '", spec.name, "': trailing field '",
               field, "'");

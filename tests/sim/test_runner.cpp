@@ -85,6 +85,28 @@ TEST(SpecKey, DistinguishesEveryRunShapingField)
     keyed.tweak = [](SystemConfig &) {};
     keyed.tweak_key = "variant-a";
     EXPECT_NE(key, specKey(keyed));
+
+    auto arbitrated = base;
+    arbitrated.pcc_policy.arbiter = "static";
+    EXPECT_NE(key, specKey(arbitrated));
+    auto propshare = base;
+    propshare.pcc_policy.arbiter = "propshare";
+    EXPECT_NE(specKey(arbitrated), specKey(propshare));
+
+    // Co-runners: each one's name and seed, and their order.
+    auto paired = base;
+    paired.corunners = {base.workload, base.workload};
+    paired.corunners[0].name = "mcf";
+    EXPECT_NE(key, specKey(paired));
+    auto renamed = paired;
+    renamed.corunners[1].name = "sssp";
+    EXPECT_NE(specKey(paired), specKey(renamed));
+    auto reseeded = paired;
+    reseeded.corunners[0].seed += 1;
+    EXPECT_NE(specKey(paired), specKey(reseeded));
+    auto reordered = renamed;
+    std::swap(reordered.corunners[0], reordered.corunners[1]);
+    EXPECT_NE(specKey(renamed), specKey(reordered));
 }
 
 TEST(SpecKey, SampledAndExactRunsNeverShareAMemoEntry)
@@ -469,4 +491,127 @@ TEST(Runner, GlobalReconfigurationCountsMemoDiscards)
     Runner::global().run(ciSpec("bfs", PolicyKind::Base, 0.0));
     Runner::setGlobalJobs(1); // discards one memoized result
     EXPECT_EQ(Runner::globalMemoDiscards(), before + 1);
+}
+
+namespace {
+
+/** fig09's pair at ci: pr on core 0 with mcf co-running on core 1. */
+ExperimentSpec
+pairSpec(std::string_view policy, double cap)
+{
+    ExperimentSpec spec;
+    spec.workload.name = "pr";
+    spec.workload.scale = workloads::Scale::Ci;
+    spec.corunners = {spec.workload};
+    spec.corunners[0].name = "mcf";
+    EXPECT_TRUE(applyPolicySelector(spec, policy).ok());
+    spec.cap_percent = cap;
+    return spec;
+}
+
+/** Hand-built single-lane jobs (name, seed) at ci on a raw System. */
+RunResult
+rawRun(const SystemConfig &cfg,
+       const std::vector<std::pair<std::string, u64>> &apps)
+{
+    std::vector<workloads::WorkloadPtr> owned;
+    std::vector<System::Job> jobs;
+    for (const auto &[name, seed] : apps) {
+        workloads::WorkloadSpec w;
+        w.name = name;
+        w.scale = workloads::Scale::Ci;
+        w.seed = seed;
+        owned.push_back(workloads::makeWorkload(w));
+        jobs.push_back({owned.back().get(), 1});
+    }
+    System system(cfg);
+    return system.run(std::move(jobs));
+}
+
+} // namespace
+
+TEST(Runner, CoRunnerSpecMatchesTheSameJobsOnARawSystem)
+{
+    const ExperimentSpec spec = pairSpec("pcc", 8.0);
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    cfg.num_cores = 2;
+    ASSERT_TRUE(applyPolicySelector(cfg, "pcc").ok());
+    cfg.promotion_cap_percent = 8.0;
+    cfg.seed = spec.workload.seed;
+
+    Runner runner(1);
+    const auto shared = runner.run(spec);
+    ASSERT_EQ(shared->jobs.size(), 2u);
+    EXPECT_TRUE(*shared == rawRun(cfg, {{"pr", 42}, {"mcf", 42}}));
+}
+
+TEST(Runner, TenantSpecMatchesTheSameTenantsOnARawSystem)
+{
+    // fig10's point: two tenants time-sharing one core with ASIDs,
+    // static budgets, fragmented memory and the audit log on.
+    ExperimentSpec spec = pairSpec("pcc", -1.0);
+    spec.corunners[0].seed += 1;
+    spec.pcc_policy.arbiter = "static";
+    spec.pcc_policy.regions_to_promote = 1;
+    spec.frag_fraction = 0.9;
+    spec.telemetry.enabled = true;
+    spec.telemetry.audit = true;
+    const auto shareOneCore = [](SystemConfig &cfg) {
+        cfg.num_cores = 1;
+        cfg.tenant.cores = 1;
+        cfg.tenant.switch_mode = tenant::SwitchMode::Asid;
+        cfg.tenant.quantum_ops = 1024;
+    };
+    spec.tweak = shareOneCore;
+    spec.tweak_key = "tenant-node";
+
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    shareOneCore(cfg);
+    ASSERT_TRUE(applyPolicySelector(cfg, "pcc").ok());
+    cfg.pcc_policy.arbiter = "static";
+    cfg.pcc_policy.regions_to_promote = 1;
+    cfg.frag_fraction = 0.9;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.audit = true;
+    cfg.seed = spec.workload.seed;
+
+    Runner runner(1);
+    const auto shared = runner.run(spec);
+    ASSERT_EQ(shared->jobs.size(), 2u);
+    EXPECT_TRUE(*shared == rawRun(cfg, {{"pr", 42}, {"mcf", 43}}));
+}
+
+TEST(Runner, CoRunnerPolicySiblingsShareOneCacheTape)
+{
+    const std::vector<ExperimentSpec> specs = {pairSpec("base-4k", 0.0),
+                                               pairSpec("pcc", 8.0)};
+    Runner runner(1);
+    const auto shared = runner.runMany(specs);
+    const auto stats = runner.stats();
+    EXPECT_EQ(stats.cache_tape_records, 1u);
+    EXPECT_EQ(stats.cache_tape_replays, 1u);
+    for (size_t i = 0; i < specs.size(); ++i)
+        EXPECT_TRUE(*shared[i] == runOne(specs[i])) << specKey(specs[i]);
+}
+
+TEST(Runner, JournalRoundTripsMultiJobResults)
+{
+    const std::string path = journalPath("pair");
+    RunnerOptions options;
+    options.jobs = 1;
+    options.journal_path = path;
+    const ExperimentSpec spec = pairSpec("pcc", 8.0);
+    std::shared_ptr<const RunResult> first;
+    {
+        Runner writer(options);
+        first = writer.run(spec);
+        EXPECT_EQ(writer.stats().journal_appends, 1u);
+    }
+    Runner resumed(options);
+    EXPECT_EQ(resumed.stats().journal_loaded, 1u);
+    const auto second = resumed.run(spec);
+    EXPECT_EQ(resumed.stats().simulated, 0u);
+    ASSERT_EQ(second->jobs.size(), 2u);
+    EXPECT_TRUE(*first == *second);
+    std::remove(path.c_str());
 }

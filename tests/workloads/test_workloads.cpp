@@ -332,3 +332,34 @@ TEST(Synthetic, NamesFollowPattern)
     spec.pattern = Pattern::Uniform;
     EXPECT_EQ(SyntheticWorkload(spec).name(), "syn-uniform");
 }
+
+TEST(Synthetic, SpecStringSetsTheHotShare)
+{
+    WorkloadSpec spec;
+    spec.name = "syn:hot:512:1500000:8:50";
+    const auto w = makeWorkload(spec);
+    const auto *syn = dynamic_cast<const SyntheticWorkload *>(w.get());
+    ASSERT_NE(syn, nullptr);
+    EXPECT_EQ(syn->spec().pattern, Pattern::HotRegions);
+    EXPECT_EQ(syn->spec().footprint_bytes, 512ull << 20);
+    EXPECT_EQ(syn->spec().ops, 1'500'000u);
+    EXPECT_EQ(syn->spec().hot_regions, 8u);
+    EXPECT_EQ(syn->spec().hot_fraction, 0.5);
+
+    // Without the field the share stays at its default.
+    spec.name = "syn:hot:512:1500000:8";
+    const auto plain = makeWorkload(spec);
+    EXPECT_EQ(
+        dynamic_cast<const SyntheticWorkload &>(*plain).spec().hot_fraction,
+        SyntheticSpec{}.hot_fraction);
+}
+
+TEST(Synthetic, HotShareOutsideOneToHundredPercentIsFatal)
+{
+    for (const char *share : {"0", "101", "5x"}) {
+        WorkloadSpec spec;
+        spec.name = std::string("syn:hot:512:1500000:8:") + share;
+        EXPECT_DEATH({ auto w = makeWorkload(spec); }, "hot_percent")
+            << share;
+    }
+}
