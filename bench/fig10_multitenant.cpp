@@ -33,6 +33,9 @@
  *                        exit nonzero on the first violation
  *
  * --oracle and --sample exit 1: tenant-mode runs support neither.
+ * --resume exits 1 too: every run carries an audit report, which the
+ * result journal does not store, so a resumed sweep would re-simulate
+ * every run.
  */
 
 #include "common.hpp"
@@ -272,6 +275,11 @@ main(int argc, char **argv)
 {
     BenchEnv env = BenchEnv::parse(argc, argv, {"pr", "mcf"});
     env.rejectOracleAndSampling("fig10's tenant sweep");
+    if (!sim::Runner::global().options().journal_path.empty()) {
+        fatal("--resume cannot be honoured by fig10's tenant sweep: every "
+              "run carries an audit report, and the journal keeps no "
+              "result with telemetry");
+    }
     Options opts(argc, argv);
 
     SweepOptions sweep;

@@ -9,6 +9,7 @@
 #   scripts/check.sh tsan               # ThreadSanitizer on the runner
 #   scripts/check.sh undefined thread
 #   scripts/check.sh determinism        # only the --jobs CSV diff
+#   scripts/check.sh perfbench          # only the benchmark's own tests
 #
 # Gates:
 #   address | asan        full suite under AddressSanitizer (+ leaks)
@@ -53,8 +54,8 @@
 #                         multi-tenant determinism, ASID < flush
 #                         walks), then a reduced sweep must emit
 #                         byte-identical CSV at --jobs=1 and --jobs=4,
-#                         and --oracle (which tenant mode cannot
-#                         honour) must exit 1
+#                         and --oracle and --resume (which a tenant
+#                         sweep cannot honour) must exit 1
 #   histograms            tail-latency telemetry: --histograms must be
 #                         metrics-neutral (plain output is a byte
 #                         prefix of the histogram run), byte-identical
@@ -64,6 +65,14 @@
 #                         total, sorted bounded exemplars), and the
 #                         fig06 --perf p99 must stay within the
 #                         bench/baselines/ tolerance
+#   perfbench             the repo benchmark's own tests
+#                         (perfbench/tests/test_perfbench.py): builds
+#                         perfbench into .bench_build/, smoke-runs every
+#                         workload traced and untraced, checks replay
+#                         fidelity and perfbench/expected.txt. Catches
+#                         a src/ change (say, a trimmed include in
+#                         sim/system.hpp) that breaks the benchmark,
+#                         which the other gates never build
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/; determinism, telemetry, attribution and bench use
@@ -393,15 +402,24 @@ run_tenant() {
         echo "tenant gate FAILED: parallel output diverged" >&2
         return 1
     fi
-    echo "==> [tenant] --oracle must be refused, not ignored"
-    local status=0
-    ./build-det/bench/fig10_multitenant "${sweep_args[@]}" --oracle \
-        > /dev/null 2>&1 || status=$?
-    if [ "$status" -ne 1 ]; then
-        echo "tenant gate FAILED: fig10 --oracle exited $status, not 1" >&2
-        return 1
-    fi
+    local flag status
+    for flag in --oracle "--resume=$tmp/journal"; do
+        echo "==> [tenant] $flag must be refused, not ignored"
+        status=0
+        ./build-det/bench/fig10_multitenant "${sweep_args[@]}" "$flag" \
+            > /dev/null 2>&1 || status=$?
+        if [ "$status" -ne 1 ]; then
+            echo "tenant gate FAILED: fig10 $flag exited $status, not 1" >&2
+            return 1
+        fi
+    done
     echo "==> [tenant] clean (selfcheck passed, byte-identical output)"
+}
+
+run_perfbench() {
+    echo "==> [perfbench] building and smoke-testing the benchmark"
+    python3 perfbench/tests/test_perfbench.py
+    echo "==> [perfbench] clean"
 }
 
 run_histograms() {
@@ -509,7 +527,7 @@ PYEOF
 gates=("$@")
 if [ ${#gates[@]} -eq 0 ]; then
     gates=(address undefined determinism telemetry attribution bench \
-           registry sampling fuzz resume tenant histograms)
+           registry sampling fuzz resume tenant histograms perfbench)
 fi
 
 for gate in "${gates[@]}"; do
@@ -547,10 +565,13 @@ for gate in "${gates[@]}"; do
       histograms)
          run_histograms
          continue ;;
+      perfbench)
+         run_perfbench
+         continue ;;
       *) echo "unknown gate '$gate'" \
               "(use address|undefined|thread|determinism|telemetry|" \
               "attribution|bench|registry|sampling|fuzz|resume|tenant|" \
-              "histograms)" >&2
+              "histograms|perfbench)" >&2
          exit 2 ;;
     esac
 

@@ -17,6 +17,9 @@
  * and an address fingerprint (the sum of its line numbers), and a
  * replaying run that sees a different segment throws
  * CacheTapeMismatch and drops the tape from its store.
+ *
+ * CacheTapeStore holds the tapes of one Runner; CacheTapeSession is one
+ * run's side of it and the only code that knows the tape format.
  */
 
 #pragma once
@@ -31,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/config.hpp"
 #include "util/types.hpp"
 
 namespace pccsim::sim {
@@ -167,6 +171,90 @@ class CacheTapeStore
     std::set<std::string> claimed_;
     std::deque<std::string> order_; //!< publication order, oldest first
     Stats stats_;
+};
+
+/**
+ * One run's share in a CacheTapeStore. Runs whose cache input depends
+ * on more than the stream never share: walks through the data cache,
+ * tail histograms (they need each access's own latency), and the
+ * scalar and tenant engines.
+ */
+class CacheTapeSession
+{
+  public:
+    /**
+     * Take the tape of the run's key (stream + final cache config) to
+     * replay, or its recording claim; sleep while a sibling holds it,
+     * unless the run is watched (has a cancel flag). The time spent
+     * here is the `tape_wait` host phase.
+     */
+    void open(CacheTapeStore &store, const std::string &stream_key,
+              const SystemConfig &config);
+
+    /** Replaying: the run skips the data cache and takes taped cycles. */
+    bool replaying() const { return replaying_ != nullptr; }
+
+    /**
+     * Close `core`'s segment of `length` accesses at `addrs` whose cache
+     * probes cost `data`: record it, or check it against its entry.
+     * Returns the cycles the core clock takes; `accesses` dates errors.
+     */
+    Cycles
+    endSegment(u32 core, Cycles data, const Addr *addrs, u32 length,
+               u64 accesses)
+    {
+        if ((!recording_ && !replaying_) || length == 0)
+            return data;
+        // Every detailed access probes the data cache once, so the
+        // segment's cache input is exactly these addresses.
+        u64 fingerprint = 0;
+        for (u32 i = 0; i < length; ++i)
+            fingerprint += addrs[i] >> line_shift_;
+        Cursor &cursor = cursors_[core];
+        if (recording_) {
+            CacheTapeSegment segment{fingerprint, data, length};
+            if (miscount_ && core == 0 && cursor.out->empty())
+                ++segment.cycles;
+            cursor.out->push_back(segment);
+            return data;
+        }
+        if (cursor.next == cursor.end)
+            mismatch(core, accesses, "the run outlasts its tape");
+        if (cursor.next->length != length ||
+            cursor.next->fingerprint != fingerprint) {
+            mismatch(core, accesses,
+                     "a segment differs from its tape entry");
+        }
+        return (cursor.next++)->cycles;
+    }
+
+    /** After the last access: count the replay or publish the tape. */
+    void finish(u64 accesses);
+
+    /** Close without publishing (the run failed); frees the claim. */
+    void abandon() { *this = CacheTapeSession(); }
+
+  private:
+    struct Cursor
+    {
+        std::vector<CacheTapeSegment> *out = nullptr; //!< recording
+        const CacheTapeSegment *next = nullptr;       //!< replaying
+        const CacheTapeSegment *end = nullptr;
+    };
+
+    /** Drop the replayed tape from its store and throw. */
+    [[noreturn]] void mismatch(u32 core, u64 accesses, const char *what);
+
+    CacheTapeStore *store_ = nullptr;
+    std::string key_;
+    CacheTapeStore::Claim claim_;
+    std::shared_ptr<CacheTape> recording_;
+    std::shared_ptr<const CacheTape> replaying_;
+    std::vector<Cursor> cursors_; //!< one per core
+    /** log2 of the smallest cache line: the fingerprint's granule. */
+    u32 line_shift_ = 0;
+    /** HotPathMutation::TapeMiscount: core 0's first segment is off. */
+    bool miscount_ = false;
 };
 
 } // namespace pccsim::sim

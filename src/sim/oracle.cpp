@@ -309,20 +309,19 @@ DiffChecker::onShootdown(Addr base, u64 bytes)
 }
 
 void
-DiffChecker::finish(u32 core, u64 real_accesses, u64 real_l1_hits,
-                    u64 real_l2_hits, u64 real_walks)
+DiffChecker::finish(u32 core, const CoreCounters &real)
 {
     const RefTlbHierarchy &ref = cores_[core];
-    if (ref.accesses() == real_accesses && ref.l1Hits() == real_l1_hits &&
-        ref.l2Hits() == real_l2_hits && ref.walks() == real_walks) {
+    if (ref.accesses() == real.tlb_accesses && ref.l1Hits() == real.l1_hits &&
+        ref.l2Hits() == real.l2_hits && ref.walks() == real.walks) {
         return;
     }
     std::ostringstream os;
     os << "end-of-run TLB counter mismatch (reference accesses="
        << ref.accesses() << " l1=" << ref.l1Hits() << " l2=" << ref.l2Hits()
-       << " walks=" << ref.walks() << "; real accesses=" << real_accesses
-       << " l1=" << real_l1_hits << " l2=" << real_l2_hits
-       << " walks=" << real_walks << ")";
+       << " walks=" << ref.walks() << "; real accesses=" << real.tlb_accesses
+       << " l1=" << real.l1_hits << " l2=" << real.l2_hits
+       << " walks=" << real.walks << ")";
     diverge(core, 0, os.str());
 }
 

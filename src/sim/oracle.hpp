@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "mem/paging.hpp"
+#include "sim/core_counters.hpp"
 #include "tlb/geometry.hpp"
 #include "tlb/hierarchy.hpp"
 #include "util/types.hpp"
@@ -204,8 +205,7 @@ class DiffChecker
      * the reference model. Catches divergences that slipped between
      * sampled compares.
      */
-    void finish(u32 core, u64 real_accesses, u64 real_l1_hits,
-                u64 real_l2_hits, u64 real_walks);
+    void finish(u32 core, const CoreCounters &real);
 
     u64 accessesSeen() const { return accesses_seen_; }
     u64 comparesDone() const { return compares_done_; }

@@ -281,10 +281,14 @@ Runner::simulate(const ExperimentSpec &spec, const std::string &key,
     }
     worker_busy_[std::this_thread::get_id()] += elapsed;
     if (journal_ && !key.empty()) {
-        if (journal_->append(key, *result))
+        if (journal_->append(key, *result)) {
             ++stats_.journal_appends;
-        else
-            ++stats_.journal_skipped;
+        } else if (stats_.journal_skipped++ == 0 &&
+                   !ResultJournal::serializable(*result)) {
+            warn("journal '", options_.journal_path,
+                 "': results that carry telemetry are not journaled and "
+                 "will be simulated again on resume");
+        }
     }
     return result;
 }

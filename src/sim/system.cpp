@@ -1,9 +1,6 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <sstream>
 
 #include "os/policy_registry.hpp"
 #include "sim/invariants.hpp"
@@ -118,13 +115,7 @@ isPow2(u64 x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
-/**
- * Lane scheduling quantum: ops one lane consumes before the scheduler
- * rotates to the next runnable lane. Multi-lane batch buffers are
- * clamped to this size so a lane's production burst covers exactly one
- * turn — the op interleaving (and thus every shared-state read a
- * workload makes) is identical to the scalar per-op engine.
- */
+/** Ops a lane of a multi-lane run consumes per turn (see run()). */
 constexpr u32 kSchedQuantum = 64;
 
 } // namespace
@@ -342,13 +333,6 @@ System::System(SystemConfig config) : config_(std::move(config))
         }
     }
     PCCSIM_ASSERT(config_.num_cores >= 1);
-    // Tape fingerprints sum line numbers at the finest line any level
-    // indexes by: two streams with equal sums then agree on every
-    // level's input as far as a cheap check can tell.
-    const u32 min_line = std::min({config_.cache.l1.line_bytes,
-                                   config_.cache.l2.line_bytes,
-                                   config_.cache.llc.line_bytes});
-    line_shift_ = min_line == 0 ? 0 : std::countr_zero(min_line);
     cores_.reserve(config_.num_cores);
     for (u32 c = 0; c < config_.num_cores; ++c)
         cores_.emplace_back(config_);
@@ -448,10 +432,8 @@ System::installShootdownHook()
             // Trace only region-sized broadcasts: per-4KB migration
             // invalidations would flood the event log (they are batched
             // cost-wise for the same reason).
-            if (tel_tracer_) {
-                tel_tracer_->record(telemetry::EventKind::Shootdown,
-                                    pid, base, bytes, cost);
-            }
+            if (telemetry_)
+                telemetry_->recordShootdown(pid, base, bytes, cost);
         }
         return 0;
     });
@@ -500,225 +482,6 @@ System::installReclaimRanker()
         }
         return score;
     });
-}
-
-void
-System::setupTelemetry(size_t num_jobs)
-{
-    tel_registry_.reset();
-    tel_sampler_.reset();
-    tel_tracer_.reset();
-    tel_profiler_.reset();
-    tel_audit_.reset();
-    for (auto &core : cores_)
-        core.pcc.pcc2m().setEvictionHook({});
-    tel_churn_ = telemetry::TopKChurnTracker{};
-    tel_churn_counter_ = telemetry::Registry::Handle{};
-    tel_tail_.reset();
-    tel_tail_p50_ = telemetry::Registry::Handle{};
-    tel_tail_p90_ = telemetry::Registry::Handle{};
-    tel_tail_p99_ = telemetry::Registry::Handle{};
-    tel_tail_p999_ = telemetry::Registry::Handle{};
-    tel_tail_max_ = telemetry::Registry::Handle{};
-    if (!config_.telemetry.enabled)
-        return;
-
-    tel_registry_ = std::make_unique<telemetry::Registry>();
-    telemetry::Registry &reg = *tel_registry_;
-
-    // Probes over state the simulator maintains anyway: registering
-    // them costs the instrumented modules nothing, and reading happens
-    // only at interval boundaries and run end.
-    reg.probe("tlb_accesses", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.accesses();
-        return sum;
-    });
-    reg.probe("l1_hits", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.l1Hits();
-        return sum;
-    });
-    reg.probe("l2_hits", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.l2Hits();
-        return sum;
-    });
-    reg.probe("walks", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.walks();
-        return sum;
-    });
-    reg.probe("faults", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.faults;
-        return sum;
-    });
-    reg.probe("pcc_occupancy", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.pcc.occupancy();
-        return sum;
-    });
-    reg.probe("promotions",
-              [this] { return os_->stats().get("promotions"); });
-    reg.probe("promotions_1g",
-              [this] { return os_->stats().get("promotions_1g"); });
-    reg.probe("demotions",
-              [this] { return os_->stats().get("demotions"); });
-    reg.probe("reclaim_events",
-              [this] { return os_->stats().get("reclaim_events"); });
-    reg.probe("reclaimed_frames",
-              [this] { return os_->stats().get("reclaimed_frames"); });
-    reg.probe("compactions",
-              [this] { return phys_->stats().get("compactions"); });
-    reg.probe("shootdowns", [this] { return shootdowns_; });
-    reg.probe("os_background_cycles",
-              [this] { return os_->backgroundCycles(); });
-    for (size_t j = 0; j < num_jobs; ++j) {
-        reg.probe("job" + std::to_string(j) + "_cycles", [this, j] {
-            Cycles wall = 0;
-            for (const auto &lane : lanes_)
-                if (lane.job == j)
-                    wall = std::max(wall, cores_[lane.core].cycles);
-            return wall;
-        });
-    }
-    // Per-tenant fairness/starvation telemetry. Only registered for
-    // genuinely multi-tenant runs: a 1-tenant tenant-mode run must
-    // produce the byte-identical telemetry report of the legacy
-    // single-process path.
-    if (config_.tenant.enabled() && num_jobs > 1) {
-        reg.probe("tenant_switches",
-                  [this] { return tsched_ ? tsched_->switches() : 0; });
-        for (size_t j = 0; j < num_jobs; ++j) {
-            const std::string prefix = "tenant" + std::to_string(j);
-            reg.probe(prefix + "_switches", [this, j] {
-                return tsched_ ? tsched_->switchesOf(
-                                     static_cast<TenantId>(j))
-                               : 0;
-            });
-            reg.probe(prefix + "_ops", [this, j] {
-                return tsched_
-                           ? tsched_->opsOf(static_cast<TenantId>(j))
-                           : 0;
-            });
-            reg.probe(prefix + "_walks",
-                      [this, j] { return job_tally_[j].walks; });
-            reg.probe(prefix + "_faults",
-                      [this, j] { return job_tally_[j].faults; });
-        }
-    }
-    tel_churn_counter_ = reg.counter("pcc_topk_churn");
-    if (config_.telemetry.histograms) {
-        tel_tail_ = std::make_unique<telemetry::TailRecorder>(
-            config_.num_cores, static_cast<u32>(num_jobs),
-            config_.telemetry.exemplar_k);
-        // Windowed translation-latency quantiles: computed over the
-        // just-closed interval window and published as gauges, so the
-        // series read "p99 this interval", not "p99 so far".
-        tel_tail_p50_ = reg.counter("tail_p50_cycles");
-        tel_tail_p90_ = reg.counter("tail_p90_cycles");
-        tel_tail_p99_ = reg.counter("tail_p99_cycles");
-        tel_tail_p999_ = reg.counter("tail_p999_cycles");
-        tel_tail_max_ = reg.counter("tail_max_cycles");
-    }
-
-    tel_sampler_ = std::make_unique<telemetry::IntervalSampler>(reg);
-    using telemetry::SampleKind;
-    for (const char *name :
-         {"walks", "l1_hits", "l2_hits", "faults", "promotions",
-          "demotions", "compactions", "reclaim_events", "shootdowns",
-          "pcc_topk_churn"}) {
-        tel_sampler_->track(name, SampleKind::Cumulative);
-    }
-    tel_sampler_->track("pcc_occupancy", SampleKind::Gauge);
-    for (size_t j = 0; j < num_jobs; ++j) {
-        tel_sampler_->track("job" + std::to_string(j) + "_cycles",
-                            SampleKind::Gauge);
-    }
-    if (config_.tenant.enabled() && num_jobs > 1) {
-        tel_sampler_->track("tenant_switches", SampleKind::Cumulative);
-        for (size_t j = 0; j < num_jobs; ++j) {
-            const std::string prefix = "tenant" + std::to_string(j);
-            tel_sampler_->track(prefix + "_ops",
-                                SampleKind::Cumulative);
-            tel_sampler_->track(prefix + "_walks",
-                                SampleKind::Cumulative);
-        }
-    }
-    if (tel_tail_) {
-        for (const char *name :
-             {"tail_p50_cycles", "tail_p90_cycles", "tail_p99_cycles",
-              "tail_p999_cycles", "tail_max_cycles"}) {
-            tel_sampler_->track(name, SampleKind::Gauge);
-        }
-    }
-
-    if (config_.telemetry.trace_events) {
-        tel_tracer_ = std::make_unique<telemetry::EventTracer>(
-            config_.telemetry.max_events);
-        tel_tracer_->setClock([this] { return total_accesses_; });
-        os_->setTracer(tel_tracer_.get());
-        if (injector_)
-            injector_->setTracer(tel_tracer_.get());
-    }
-
-    if (config_.telemetry.attribution) {
-        tel_profiler_ = std::make_unique<telemetry::RegionProfiler>(
-            config_.telemetry.attribution_regions);
-        // PCC evictions flow through a per-cache hook so attribution
-        // sees the victim region with the core's owning process.
-        for (u32 c = 0; c < config_.num_cores; ++c) {
-            cores_[c].pcc.pcc2m().setEvictionHook([this, c](Vpn region) {
-                if (core_process_[c]) {
-                    tel_profiler_->recordPccEviction(
-                        core_process_[c]->pid(), region);
-                }
-            });
-        }
-    }
-    if (config_.telemetry.audit) {
-        tel_audit_ = std::make_unique<telemetry::PromotionAuditLog>(
-            config_.telemetry.max_audit_records);
-        tel_audit_->setClock([this] { return total_accesses_; });
-        os_->setAuditLog(tel_audit_.get());
-    }
-}
-
-void
-System::sampleTelemetryInterval()
-{
-    // Merge the ranked heads of every core's PCC: the churn of that
-    // union is how much of the system-wide candidate set turned over
-    // this interval.
-    std::vector<Vpn> merged;
-    for (const auto &core : cores_) {
-        auto top = core.pcc.topRegions(config_.telemetry.top_k);
-        merged.insert(merged.end(), top.begin(), top.end());
-    }
-    tel_churn_counter_ += tel_churn_.update(std::move(merged));
-    if (tel_tail_) {
-        // Quantiles of the interval window just ending; the window
-        // then resets so each sample is an independent slice of time.
-        const telemetry::LatencyHistogram &window = tel_tail_->window();
-        tel_tail_p50_.set(window.quantile(0.50));
-        tel_tail_p90_.set(window.quantile(0.90));
-        tel_tail_p99_.set(window.quantile(0.99));
-        tel_tail_p999_.set(window.quantile(0.999));
-        tel_tail_max_.set(window.maxValue());
-        tel_tail_->resetWindow();
-    }
-    tel_sampler_->sample();
-    if (tel_tracer_) {
-        tel_tracer_->record(telemetry::EventKind::Interval, 0, 0, 0,
-                            intervals_);
-    }
 }
 
 void
@@ -812,15 +575,13 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
         const mem::PageSize filled = proc.mappingSizeOf(vaddr);
         core.tlb.fill(vaddr, filled);
         core.noteTranslated(vaddr, filled);
-        if (oracle_) {
-            oracle_->onFault(
-                static_cast<u32>(&core - cores_.data()), proc.pid(),
-                vaddr, filled);
-        }
+        if (oracle_)
+            oracle_->onFault(indexOf(core), proc.pid(), vaddr, filled);
         const Cycles data = touchData(core, vaddr);
-        if (tel_tail_) {
-            recordTail(core, proc, vaddr, telemetry::TailOutcome::Fault,
-                       cost + data, 0, fault_cost);
+        if (telemetry_) {
+            telemetry_->recordAccess(indexOf(core), core.job, proc.pid(),
+                                     vaddr, telemetry::TailOutcome::Fault,
+                                     cost + data, 0, fault_cost, core.faults);
         }
         return {cost, data};
     }
@@ -832,15 +593,13 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
     if (config_.last_translation_cache &&
         vaddr - core.last_page_base < core.last_page_bytes) {
         core.tlb.noteRepeatL1Hit();
-        if (oracle_) {
-            oracle_->onLtcAccess(
-                static_cast<u32>(&core - cores_.data()), proc.pid(),
-                vaddr);
-        }
+        if (oracle_)
+            oracle_->onLtcAccess(indexOf(core), proc.pid(), vaddr);
         const Cycles data = touchData(core, vaddr);
-        if (tel_tail_) {
-            recordTail(core, proc, vaddr, telemetry::TailOutcome::L1,
-                       cost + data, 0, 0);
+        if (telemetry_) {
+            telemetry_->recordAccess(indexOf(core), core.job, proc.pid(),
+                                     vaddr, telemetry::TailOutcome::L1,
+                                     cost + data, 0, 0, core.faults);
         }
         return {cost, data};
     }
@@ -861,119 +620,26 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
             core.tlb.l1Of(size).access(mem::vpnOf(vaddr, size));
         else
             core.tlb.fill(vaddr, size);
-        if (tel_profiler_ || tel_audit_) {
-            // Attribute the walk before observeWalk mutates the PCC:
-            // pcc_hit must reflect whether the region was tracked when
-            // the walk retired, not after this walk's own touch.
-            const Vpn v2m = mem::vpnOf(vaddr, mem::PageSize::Huge2M);
-            const u32 depth = walk.size == mem::PageSize::Base4K ? 4
-                              : walk.size == mem::PageSize::Huge2M ? 3
-                                                                   : 2;
-            const u32 pwc_hits =
-                depth - std::min(depth, walk.memory_refs);
-            if (tel_profiler_) {
-                const bool pcc_hit =
-                    core.pcc.pcc2m().frequencyOf(v2m).has_value();
-                tel_profiler_->recordWalk(proc.pid(), v2m, walk_cost,
-                                          pwc_hits, pcc_hit);
-            }
-            if (tel_audit_)
-                tel_audit_->chargeWalk(proc.pid(), v2m, walk_cost);
+        if (telemetry_) {
+            telemetry_->recordWalk(core.pcc, proc.pid(), vaddr, walk,
+                                   walk_cost);
         }
         core.pcc.observeWalk(vaddr, walk);
     }
-    if (oracle_) {
-        oracle_->onAccess(static_cast<u32>(&core - cores_.data()),
-                          proc.pid(), vaddr, size, level);
-    }
+    if (oracle_)
+        oracle_->onAccess(indexOf(core), proc.pid(), vaddr, size, level);
     core.noteTranslated(vaddr, size);
     const Cycles data = touchData(core, vaddr);
-    if (tel_tail_) {
-        const telemetry::TailOutcome outcome =
-            level == tlb::HitLevel::Miss ? telemetry::TailOutcome::Walk
-            : level == tlb::HitLevel::L2 ? telemetry::TailOutcome::L2
-                                         : telemetry::TailOutcome::L1;
-        recordTail(core, proc, vaddr, outcome, cost + data, walk_cost, 0);
+    if (telemetry_) {
+        using telemetry::TailOutcome;
+        telemetry_->recordAccess(
+            indexOf(core), core.job, proc.pid(), vaddr,
+            level == tlb::HitLevel::Miss ? TailOutcome::Walk
+            : level == tlb::HitLevel::L2 ? TailOutcome::L2
+                                         : TailOutcome::L1,
+            cost + data, walk_cost, 0, core.faults);
     }
     return {cost, data};
-}
-
-void
-System::endSegment(CoreState &core, Cycles data, const Addr *addrs,
-                   u32 length)
-{
-    if (length == 0)
-        return;
-    if (core.tape_out || tape_replaying_) {
-        // Every detailed access probes the data cache once, so the
-        // segment's cache input is exactly these addresses.
-        u64 fingerprint = 0;
-        for (u32 i = 0; i < length; ++i)
-            fingerprint += addrs[i] >> line_shift_;
-        if (core.tape_out) {
-            CacheTapeSegment segment{fingerprint, data, length};
-            if (config_.mutation == HotPathMutation::TapeMiscount &&
-                &core == &cores_[0] && core.tape_out->empty())
-                ++segment.cycles;
-            core.tape_out->push_back(segment);
-        } else {
-            if (core.tape_next == core.tape_end)
-                tapeMismatch(core, "the run outlasts its tape");
-            if (core.tape_next->length != length ||
-                core.tape_next->fingerprint != fingerprint) {
-                tapeMismatch(core, "a segment differs from its tape entry");
-            }
-            data = core.tape_next->cycles;
-            ++core.tape_next;
-        }
-    }
-    core.cycles += data;
-}
-
-void
-System::tapeMismatch(const CoreState &core, const std::string &what)
-{
-    tape_store_->drop(tape_key_, tape_replaying_.get());
-    throw CacheTapeMismatch(
-        "data-cache tape mismatch on core " +
-        std::to_string(&core - cores_.data()) + " after " +
-        std::to_string(total_accesses_) + " accesses: " + what);
-}
-
-std::string
-System::cacheTapeKey(const std::string &stream_key) const
-{
-    // Everything besides the stream that shapes the cache's input or
-    // the segment boundaries, read from the final config: hw backends
-    // (victima-reach reshapes the L2 data cache) and policy prepare
-    // hooks have already been applied.
-    std::ostringstream os;
-    os << stream_key << "|cores=" << config_.num_cores;
-    const cache::CacheHierarchy::Config &c = config_.cache;
-    for (const cache::CacheParams *level : {&c.l1, &c.l2, &c.llc}) {
-        os << '|' << level->size_bytes << ',' << level->ways << ','
-           << level->line_bytes;
-    }
-    os << "|lat=" << c.latencies.l1 << ',' << c.latencies.l2 << ','
-       << c.latencies.llc << ',' << c.latencies.dram << '|' << c.enabled
-       << "|batch=" << config_.batch_capacity
-       << "|iv=" << config_.interval_accesses
-       << "|sample=" << config_.sampling.window << ':'
-       << config_.sampling.fastforward
-       << "|mut=" << static_cast<int>(config_.mutation);
-    return os.str();
-}
-
-void
-System::recordTail(const CoreState &core, const os::Process &proc,
-                   Addr vaddr, telemetry::TailOutcome outcome,
-                   Cycles cost, Cycles walk_cost, Cycles stall_cost)
-{
-    tel_tail_->record(static_cast<u32>(&core - cores_.data()), core.job,
-                      proc.pid(), total_accesses_,
-                      mem::pageBase(vaddr, mem::PageSize::Huge2M),
-                      outcome, cost, walk_cost, stall_cost, shootdowns_,
-                      core.faults);
 }
 
 void
@@ -990,10 +656,7 @@ System::maybeReleaseBarrier(u32 job)
         return;
 
     // Barrier wait: every core of the job advances to the job maximum.
-    Cycles max_cycles = 0;
-    for (const auto &lane : lanes_)
-        if (lane.job == job)
-            max_cycles = std::max(max_cycles, cores_[lane.core].cycles);
+    const Cycles max_cycles = jobWall(job);
     for (auto &lane : lanes_) {
         if (lane.job == job) {
             cores_[lane.core].cycles = max_cycles;
@@ -1029,16 +692,14 @@ System::tenantClaim(const LaneState &lane)
     // and possibly evicted from L1 by the time the owner returns.
     core.last_page_bytes = 0;
     core_process_[lane.core] = proc;
-    core.pid = proc->pid();
     core.job = lane.job;
 }
 
 void
-System::onInterval(u32 total_lanes)
+System::onInterval()
 {
     ++intervals_;
-    next_interval_at_ +=
-        config_.interval_accesses * std::max<u32>(1, total_lanes);
+    next_interval_at_ += interval_stride_;
     if (injector_ && injector_->shockDue(intervals_))
         shock_pins_ += injector_->applyShock(*phys_);
     policy_->onInterval(*this);
@@ -1047,57 +708,68 @@ System::onInterval(u32 total_lanes)
     // Sample after the policy acted so this interval's promotions land
     // in this interval's row; series length therefore equals
     // RunResult::intervals.
-    if (tel_sampler_)
-        sampleTelemetryInterval();
+    if (telemetry_)
+        telemetry_->sampleInterval(intervals_);
+}
+
+Cycles
+System::jobWall(u32 job) const
+{
+    Cycles wall = 0;
+    for (const auto &lane : lanes_)
+        if (lane.job == job)
+            wall = std::max(wall, cores_[lane.core].cycles);
+    return wall;
 }
 
 void
-System::runScalarLoop(std::vector<Cycles> &job_wall,
-                      std::vector<u32> &job_live, u32 total_lanes)
+System::finishLane(LaneState &lane)
 {
-    u32 live = static_cast<u32>(lanes_.size());
-    while (live > 0) {
+    lane.done = true;
+    --live_lanes_;
+    if (--job_live_[lane.job] == 0)
+        job_wall_[lane.job] = jobWall(lane.job);
+    maybeReleaseBarrier(lane.job);
+}
+
+CoreCounters
+System::machineCounters() const
+{
+    CoreCounters total;
+    for (const CoreState &core : cores_)
+        total += core.counters();
+    return total;
+}
+
+void
+System::advanceSampling()
+{
+    Cycles cycles = 0;
+    for (const CoreState &core : cores_)
+        cycles += core.cycles;
+    sampler_.advance(machineCounters(), cycles);
+}
+
+template <typename Turn>
+void
+System::scheduleLanes(Turn &&turn)
+{
+    while (live_lanes_ > 0) {
         bool progressed = false;
         for (auto &lane : lanes_) {
             if (lane.done || lane.at_barrier)
                 continue;
             progressed = true;
+            if (tsched_)
+                tenantClaim(lane);
             CoreState &core = cores_[lane.core];
-            os::Process &proc = *core_process_[lane.core];
-            for (u32 b = 0; b < kSchedQuantum; ++b) {
-                if (!lane.scalar_gen.next()) {
-                    lane.done = true;
-                    --live;
-                    --job_live[lane.job];
-                    if (job_live[lane.job] == 0) {
-                        Cycles wall = 0;
-                        for (const auto &l2 : lanes_)
-                            if (l2.job == lane.job)
-                                wall = std::max(wall,
-                                                cores_[l2.core].cycles);
-                        job_wall[lane.job] = wall;
-                    }
-                    maybeReleaseBarrier(lane.job);
-                    break;
-                }
-                const auto &op = lane.scalar_gen.value();
-                if (op.kind == workloads::OpKind::Barrier) {
-                    lane.at_barrier = true;
-                    maybeReleaseBarrier(lane.job);
-                    break;
-                }
-                const AccessCost cost = doAccess(
-                    core, proc, op.addr,
-                    op.kind == workloads::OpKind::Store);
-                core.cycles += cost.core;
-                endSegment(core, cost.data, &op.addr, 1);
-                ++total_accesses_;
-                if (total_accesses_ >= next_interval_at_)
-                    onInterval(total_lanes);
-            }
-            // Cooperative supervision: publish progress and honor a
-            // pending cancel once per lane turn (~kSchedQuantum
-            // accesses) — cheap enough to leave unconditionally.
+            const CoreCounters before = core.counters();
+            turn(lane, core, *core_process_[lane.core]);
+            const CoreCounters delta = core.counters() - before;
+            job_counters_[lane.job] += delta;
+            if (tsched_)
+                tsched_->noteOps(lane.job, delta.accesses);
+            // Supervision: publish progress, honor a pending cancel.
             if (config_.progress) {
                 config_.progress->store(total_accesses_,
                                         std::memory_order_relaxed);
@@ -1109,9 +781,37 @@ System::runScalarLoop(std::vector<Cycles> &job_wall,
                     std::to_string(total_accesses_) + " accesses");
             }
         }
-        PCCSIM_ASSERT(progressed || live == 0,
+        PCCSIM_ASSERT(progressed || live_lanes_ == 0,
                       "scheduler deadlock: all live lanes parked");
     }
+}
+
+void
+System::runScalarLoop()
+{
+    scheduleLanes([this](LaneState &lane, CoreState &core,
+                         os::Process &proc) {
+        for (u32 b = 0; b < kSchedQuantum; ++b) {
+            if (!lane.scalar_gen.next()) {
+                finishLane(lane);
+                return;
+            }
+            const auto &op = lane.scalar_gen.value();
+            if (op.kind == workloads::OpKind::Barrier) {
+                lane.at_barrier = true;
+                maybeReleaseBarrier(lane.job);
+                return;
+            }
+            const AccessCost cost =
+                doAccess(core, proc, op.addr,
+                         op.kind == workloads::OpKind::Store);
+            core.cycles += cost.core;
+            endSegment(core, cost.data, &op.addr, 1);
+            ++total_accesses_;
+            if (total_accesses_ >= next_interval_at_)
+                onInterval();
+        }
+    });
 }
 
 // Flatten the whole consuming path (doAccess, the TLB and cache
@@ -1121,174 +821,85 @@ System::runScalarLoop(std::vector<Cycles> &job_wall,
 __attribute__((flatten))
 #endif
 void
-System::runBatchLoop(std::vector<Cycles> &job_wall,
-                     std::vector<u32> &job_live, u32 total_lanes)
+System::runBatchLoop()
 {
     const bool sampled = config_.sampling.enabled();
-    // A single lane owns the machine: let it drain whole buffers per
-    // turn. With siblings, rotate on the scalar engine's quantum —
-    // or, in tenant mode, on the configured scheduling quantum.
-    const u32 quantum =
-        total_lanes == 1 ? std::max<u32>(1, config_.batch_capacity)
-        : tsched_       ? std::max<u32>(1, config_.tenant.quantum_ops)
-                        : kSchedQuantum;
-    u32 live = static_cast<u32>(lanes_.size());
-    while (live > 0) {
-        bool progressed = false;
-        for (auto &lane : lanes_) {
-            if (lane.done || lane.at_barrier)
-                continue;
-            progressed = true;
-            if (tsched_)
-                tenantClaim(lane);
-            CoreState &core = cores_[lane.core];
-            os::Process &proc = *core_process_[lane.core];
-            workloads::AccessBuffer &buf = *lane.buf;
-            // Tenant mode: snapshot the shared core's counters so this
-            // turn's deltas can be banked against the job that ran.
-            u64 t_acc = 0, t_tlb = 0, t_l1 = 0, t_l2 = 0, t_walks = 0,
-                t_faults = 0, t_refs = 0;
-            if (tsched_) {
-                t_acc = core.accesses;
-                t_tlb = core.tlb.accesses();
-                t_l1 = core.tlb.l1Hits();
-                t_l2 = core.tlb.l2Hits();
-                t_walks = core.tlb.walks();
-                t_faults = core.faults;
-                t_refs = core.walker.totalRefs();
-            }
-            u32 b = 0;
-            while (b < quantum) {
-                if (lane.consumed == buf.size()) {
-                    // Buffer drained: take a deferred batch end, or
-                    // refill. Refills happen lazily *here* — at the
-                    // start of the consuming turn, exactly where the
-                    // scalar engine would resume the generator — so
-                    // barrier/EOF discovery and host-side production
-                    // keep the scalar engine's timing.
-                    if (lane.pending_barrier) {
-                        lane.pending_barrier = false;
-                        lane.at_barrier = true;
-                        maybeReleaseBarrier(lane.job);
-                        break;
-                    }
-                    if (lane.pending_eof) {
-                        lane.done = true;
-                        --live;
-                        --job_live[lane.job];
-                        if (job_live[lane.job] == 0) {
-                            Cycles wall = 0;
-                            for (const auto &l2 : lanes_)
-                                if (l2.job == lane.job)
-                                    wall = std::max(wall,
-                                                    cores_[l2.core].cycles);
-                            job_wall[lane.job] = wall;
-                        }
-                        maybeReleaseBarrier(lane.job);
-                        break;
-                    }
-                    buf.clear();
-                    lane.consumed = 0;
-                    if (lane.gen.next()) {
-                        lane.pending_barrier =
-                            lane.gen.value() ==
-                            workloads::BatchEnd::Barrier;
-                        PCCSIM_ASSERT(
-                            !buf.empty() || lane.pending_barrier,
-                            "batchLane yielded an empty Ops batch");
-                    } else {
-                        lane.pending_eof = true;
-                    }
-                    continue;
+    const u32 quantum = quantum_;
+    scheduleLanes([this, sampled, quantum](LaneState &lane, CoreState &core,
+                                           os::Process &proc) {
+        workloads::AccessBuffer &buf = *lane.buf;
+        u32 b = 0;
+        while (b < quantum) {
+            if (lane.consumed == buf.size()) {
+                // Buffer drained: take a deferred batch end, or refill.
+                // Refills happen lazily *here* — at the start of the
+                // consuming turn, exactly where the scalar engine would
+                // resume the generator — so barrier/EOF discovery and
+                // host-side production keep the scalar engine's timing.
+                if (lane.pending_barrier) {
+                    lane.pending_barrier = false;
+                    lane.at_barrier = true;
+                    maybeReleaseBarrier(lane.job);
+                    return;
                 }
-                u32 chunk = std::min(buf.size() - lane.consumed,
-                                     quantum - b);
-                if (sampled) {
-                    chunk = static_cast<u32>(
-                        std::min<u64>(chunk, phase_left_));
+                if (lane.pending_eof) {
+                    finishLane(lane);
+                    return;
                 }
-                const Addr *addrs = buf.addrs() + lane.consumed;
-                const u8 *kinds = buf.kinds() + lane.consumed;
-                if (!sampled ||
-                    sample_phase_ != SamplePhase::FastForward) {
-                    // The open segment: its first access and its
-                    // data-cache cycles.
-                    u32 seg_begin = 0;
-                    Cycles seg_data = 0;
-                    for (u32 i = 0; i < chunk; ++i) {
-                        const AccessCost cost = doAccess(
-                            core, proc, addrs[i],
-                            kinds[i] ==
-                                static_cast<u8>(
-                                    workloads::OpKind::Store));
-                        core.cycles += cost.core;
-                        seg_data += cost.data;
-                        ++total_accesses_;
-                        if (total_accesses_ >= next_interval_at_) {
-                            endSegment(core, seg_data, addrs + seg_begin,
-                                       i + 1 - seg_begin);
-                            seg_begin = i + 1;
-                            seg_data = 0;
-                            onInterval(total_lanes);
-                        }
-                    }
-                    endSegment(core, seg_data, addrs + seg_begin,
-                               chunk - seg_begin);
-                    if (sampled)
-                        detailed_total_ += chunk;
+                buf.clear();
+                lane.consumed = 0;
+                if (lane.gen.next()) {
+                    lane.pending_barrier =
+                        lane.gen.value() == workloads::BatchEnd::Barrier;
+                    PCCSIM_ASSERT(!buf.empty() || lane.pending_barrier,
+                                  "batchLane yielded an empty Ops batch");
                 } else {
-                    for (u32 i = 0; i < chunk; ++i) {
-                        doFastForward(core, proc, addrs[i]);
-                        ++total_accesses_;
-                        if (total_accesses_ >= next_interval_at_)
-                            onInterval(total_lanes);
-                    }
-                    ff_total_ += chunk;
+                    lane.pending_eof = true;
                 }
-                lane.consumed += chunk;
-                b += chunk;
-                if (sampled) {
-                    phase_left_ -= chunk;
-                    if (phase_left_ == 0) {
-                        switch (sample_phase_) {
-                          case SamplePhase::Warming:
-                            beginMeasurement();
-                            break;
-                          case SamplePhase::Measuring:
-                            closeSampleWindow();
-                            break;
-                          case SamplePhase::FastForward:
-                            beginSampleWindow();
-                            break;
-                        }
+                continue;
+            }
+            u32 chunk = std::min(buf.size() - lane.consumed, quantum - b);
+            if (sampled)
+                chunk = sampler_.clamp(chunk);
+            const Addr *addrs = buf.addrs() + lane.consumed;
+            const u8 *kinds = buf.kinds() + lane.consumed;
+            if (!sampled || !sampler_.fastForwarding()) {
+                // The open segment: its first access and its
+                // data-cache cycles.
+                u32 seg_begin = 0;
+                Cycles seg_data = 0;
+                for (u32 i = 0; i < chunk; ++i) {
+                    const AccessCost cost = doAccess(
+                        core, proc, addrs[i],
+                        kinds[i] ==
+                            static_cast<u8>(workloads::OpKind::Store));
+                    core.cycles += cost.core;
+                    seg_data += cost.data;
+                    ++total_accesses_;
+                    if (total_accesses_ >= next_interval_at_) {
+                        endSegment(core, seg_data, addrs + seg_begin,
+                                   i + 1 - seg_begin);
+                        seg_begin = i + 1;
+                        seg_data = 0;
+                        onInterval();
                     }
                 }
+                endSegment(core, seg_data, addrs + seg_begin,
+                           chunk - seg_begin);
+            } else {
+                for (u32 i = 0; i < chunk; ++i) {
+                    doFastForward(core, proc, addrs[i]);
+                    ++total_accesses_;
+                    if (total_accesses_ >= next_interval_at_)
+                        onInterval();
+                }
             }
-            if (tsched_) {
-                JobTally &tally = job_tally_[lane.job];
-                tally.accesses += core.accesses - t_acc;
-                tally.tlb_accesses += core.tlb.accesses() - t_tlb;
-                tally.l1_hits += core.tlb.l1Hits() - t_l1;
-                tally.l2_hits += core.tlb.l2Hits() - t_l2;
-                tally.walks += core.tlb.walks() - t_walks;
-                tally.faults += core.faults - t_faults;
-                tally.walker_refs += core.walker.totalRefs() - t_refs;
-                tsched_->noteOps(lane.job, core.accesses - t_acc);
-            }
-            if (config_.progress) {
-                config_.progress->store(total_accesses_,
-                                        std::memory_order_relaxed);
-            }
-            if (config_.cancel &&
-                config_.cancel->load(std::memory_order_relaxed)) {
-                throw CancelledError(
-                    "run cancelled after " +
-                    std::to_string(total_accesses_) + " accesses");
-            }
+            lane.consumed += chunk;
+            b += chunk;
+            if (sampled && sampler_.consume(chunk))
+                advanceSampling();
         }
-        PCCSIM_ASSERT(progressed || live == 0,
-                      "scheduler deadlock: all live lanes parked");
-    }
+    });
 }
 
 void
@@ -1299,7 +910,7 @@ System::doFastForward(CoreState &core, os::Process &proc, Addr vaddr)
     // pte_was_accessed observation a real walk would have made.
     const bool was_touched = proc.touched(vaddr);
     proc.noteTouched(vaddr);
-    Cycles cost = ff_charge_;
+    Cycles cost = sampler_.ffCharge();
     if (!proc.faulted(vaddr)) {
         const bool want_huge = policy_->wantHugeFault(proc, vaddr);
         cost += os_->handleFault(proc, vaddr, want_huge);
@@ -1307,141 +918,12 @@ System::doFastForward(CoreState &core, os::Process &proc, Addr vaddr)
         // No TLB fill, no dcache touch: fast-forward keeps the OS
         // truthful, not the hardware warm.
     }
-    // Bresenham-thinned PCC feed at the walks-per-access rate of the
-    // last detailed window: integer state, deterministic, and cheap.
-    pcc_rate_acc_ += pcc_rate_num_;
-    if (pcc_rate_acc_ >= pcc_rate_den_) {
-        pcc_rate_acc_ -= pcc_rate_den_;
+    if (sampler_.feedPcc()) {
         core.pcc.observeSampled(
             vaddr, proc.mappingSizeOf(vaddr) == mem::PageSize::Base4K,
             was_touched);
     }
     core.cycles += cost;
-}
-
-void
-System::beginSampleWindow()
-{
-    // The measured half is W/2 rounded up, so W = 1 degenerates to a
-    // warm-up-free single measured access instead of an empty window.
-    const u64 w = config_.sampling.window;
-    win_measured_ = (w + 1) / 2;
-    const u64 warm = w - win_measured_;
-    if (warm == 0) {
-        beginMeasurement();
-        return;
-    }
-    sample_phase_ = SamplePhase::Warming;
-    phase_left_ = warm;
-}
-
-void
-System::beginMeasurement()
-{
-    sample_phase_ = SamplePhase::Measuring;
-    phase_left_ = win_measured_;
-    win_start_walks_ = sumWalks();
-    win_start_walk_cycles_ = sumWalkCycles();
-    win_start_tlb_accesses_ = sumTlbAccesses();
-    win_start_cycles_ = sumCycles();
-}
-
-void
-System::closeSampleWindow()
-{
-    const u64 w = win_measured_;
-    const u64 walks = sumWalks() - win_start_walks_;
-    const u64 walk_cycles = sumWalkCycles() - win_start_walk_cycles_;
-    const u64 tlb_accesses =
-        sumTlbAccesses() - win_start_tlb_accesses_;
-    const u64 cycles = sumCycles() - win_start_cycles_;
-    win_miss_rates_.push_back(
-        tlb_accesses == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(walks) /
-                  static_cast<double>(tlb_accesses));
-    win_walk_cycles_.push_back(static_cast<double>(walk_cycles) /
-                               static_cast<double>(w));
-    // Fast-forward charging and PCC thinning both inherit this
-    // window's rates (integer arithmetic keeps runs deterministic).
-    ff_charge_ = cycles / w;
-    pcc_rate_num_ = walks;
-    pcc_rate_den_ = w;
-    pcc_rate_acc_ = 0;
-    sample_phase_ = SamplePhase::FastForward;
-    phase_left_ = config_.sampling.fastforward;
-}
-
-SamplingStats
-System::sampleStats() const
-{
-    SamplingStats s;
-    s.enabled = true;
-    s.window = config_.sampling.window;
-    s.fastforward = config_.sampling.fastforward;
-    s.windows = win_miss_rates_.size();
-    s.detailed_accesses = detailed_total_;
-    s.ff_accesses = ff_total_;
-    const auto meanCi = [](const std::vector<double> &v, double &mean,
-                           double &ci95) {
-        if (v.empty()) {
-            mean = 0.0;
-            ci95 = 0.0;
-            return;
-        }
-        double sum = 0.0;
-        for (double x : v)
-            sum += x;
-        mean = sum / static_cast<double>(v.size());
-        if (v.size() < 2) {
-            ci95 = 0.0;
-            return;
-        }
-        double var = 0.0;
-        for (double x : v)
-            var += (x - mean) * (x - mean);
-        var /= static_cast<double>(v.size() - 1);
-        ci95 = 1.96 * std::sqrt(var / static_cast<double>(v.size()));
-    };
-    meanCi(win_miss_rates_, s.miss_rate_mean, s.miss_rate_ci95);
-    meanCi(win_walk_cycles_, s.walk_cycles_mean, s.walk_cycles_ci95);
-    return s;
-}
-
-u64
-System::sumWalks() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.tlb.walks();
-    return total;
-}
-
-u64
-System::sumWalkCycles() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.walk_cycles;
-    return total;
-}
-
-u64
-System::sumTlbAccesses() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.tlb.accesses();
-    return total;
-}
-
-u64
-System::sumCycles() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.cycles;
-    return total;
 }
 
 RunResult
@@ -1516,7 +998,27 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
                 recorded_.record(total_accesses_, pid, base, size);
             });
     }
-    setupTelemetry(jobs.size());
+    tsched_.reset();
+    if (tenant_mode) {
+        tsched_ = std::make_unique<tenant::Scheduler>(
+            config_.tenant, static_cast<u32>(jobs.size()));
+    }
+    job_counters_.assign(jobs.size(), CoreCounters{});
+    telemetry_.reset();
+    if (config_.telemetry.enabled) {
+        std::vector<pcc::PccUnit *> pccs;
+        for (CoreState &core : cores_)
+            pccs.push_back(&core.pcc);
+        telemetry_ = std::make_unique<RunTelemetry>(
+            config_.telemetry, static_cast<u32>(jobs.size()),
+            RunTelemetry::Sources{
+                .os = os_.get(), .injector = injector_.get(),
+                .tsched = tsched_.get(), .pccs = std::move(pccs),
+                .core_process = &core_process_, .clock = &total_accesses_,
+                .shootdowns = &shootdowns_, .jobs = &job_counters_,
+                .machine = [this] { return machineCounters(); },
+                .job_cycles = [this](u32 job) { return jobWall(job); }});
+    }
     oracle_.reset();
     if (config_.oracle.enabled) {
         oracle_ = std::make_unique<DiffChecker>(
@@ -1531,26 +1033,24 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
         phys_->scramble(rng);
     }
 
-    u64 total_footprint = 0;
     std::vector<os::Process *> procs;
     for (u32 j = 0; j < jobs.size(); ++j) {
         os::Process &proc = os_->adoptProcess(std::move(built[j]));
         if (config_.process_setup)
             config_.process_setup(proc, j);
-        total_footprint += jobs[j].workload->footprintBytes();
         procs.push_back(&proc);
     }
 
     // ---- lanes and core assignment ----
     lanes_.clear();
-    // Single-lane runs may batch as deep as configured; with multiple
-    // lanes the buffer is clamped to the scheduling quantum so the
-    // host-side production interleaving matches the scalar engine (in
-    // tenant mode, the configured tenant quantum).
-    const u32 buf_capacity =
-        total_lanes == 1 ? std::max<u32>(1, config_.batch_capacity)
-        : tenant_mode    ? std::max<u32>(1, config_.tenant.quantum_ops)
-                         : kSchedQuantum;
+    // A single lane owns the machine and drains whole buffers of up to
+    // batch_capacity ops per turn. With siblings a lane turn is the
+    // scalar engine's quantum (in tenant mode, the configured tenant
+    // quantum), and a buffer holds one turn, so host-side production
+    // interleaves exactly as the scalar engine's does.
+    quantum_ = total_lanes == 1 ? std::max<u32>(1, config_.batch_capacity)
+               : tenant_mode    ? std::max<u32>(1, config_.tenant.quantum_ops)
+                                : kSchedQuantum;
     u32 core_cursor = 0;
     for (u32 j = 0; j < jobs.size(); ++j) {
         for (u32 l = 0; l < jobs[j].lanes; ++l) {
@@ -1560,8 +1060,8 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
                 // batchLane() captures a reference to it, and the
                 // heap allocation keeps that reference stable across
                 // lanes_ vector relocations.
-                lane.buf = std::make_unique<workloads::AccessBuffer>(
-                    buf_capacity);
+                lane.buf =
+                    std::make_unique<workloads::AccessBuffer>(quantum_);
                 lane.gen = jobs[j].workload->batchLane(
                     l, jobs[j].lanes, *lane.buf);
             } else {
@@ -1579,9 +1079,7 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
                 // First tenant landing on each shared core becomes its
                 // boot-time current process; later tenants take over
                 // via tenantClaim (a counted, costed switch).
-                cores_[core].pid = procs[j]->pid();
                 cores_[core].job = j;
-                cores_[core].lane = l;
                 core_process_[core] = procs[j];
             }
             ++core_cursor;
@@ -1596,11 +1094,7 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
         core_process_[c] = procs.empty() ? nullptr : procs[0];
 
     job_process_ = procs;
-    job_tally_.assign(jobs.size(), JobTally{});
-    tsched_.reset();
-    if (tenant_mode) {
-        tsched_ = std::make_unique<tenant::Scheduler>(
-            config_.tenant, static_cast<u32>(jobs.size()));
+    if (tsched_) {
         for (u32 c = 0; c < used_cores; ++c) {
             // Seed the boot-time occupant (claim-free, like the lane
             // assignment above) and, under ASID switching, tag the
@@ -1616,107 +1110,54 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
     }
 
     total_accesses_ = 0;
-    next_interval_at_ =
+    interval_stride_ =
         config_.interval_accesses * std::max<u32>(1, total_lanes);
+    next_interval_at_ = interval_stride_;
     intervals_ = 0;
     shootdowns_ = 0;
     shock_pins_ = 0;
     invariant_checks_ = 0;
     invariant_failures_ = 0;
     first_invariant_failure_.clear();
-
-    win_miss_rates_.clear();
-    win_walk_cycles_.clear();
-    detailed_total_ = 0;
-    ff_total_ = 0;
-    ff_charge_ = 0;
-    pcc_rate_num_ = 0;
-    pcc_rate_den_ = 1;
-    pcc_rate_acc_ = 0;
+    sampler_ = SampleController(config_.sampling.window,
+                                config_.sampling.fastforward);
     if (config_.sampling.enabled())
-        beginSampleWindow();
+        advanceSampling(); // opens the first window
 
-    std::vector<Cycles> job_wall(jobs.size(), 0);
-    std::vector<u32> job_live(jobs.size(), 0);
+    job_wall_.assign(jobs.size(), 0);
+    job_live_.assign(jobs.size(), 0);
     for (const auto &lane : lanes_)
-        ++job_live[lane.job];
-
-    // ---- data-cache tape ----
-    // Ineligible: walks that fetch page-table lines through the data
-    // cache (its input then depends on the policy), tail histograms
-    // (they need every access's own latency), and the scalar and
-    // tenant engines (reference and shared-core paths).
-    tape_store_ = nullptr;
-    tape_recording_.reset();
-    tape_replaying_.reset();
-    CacheTapeStore::Claim tape_claim; // released however the run ends
-    if (tapes && config_.batch_engine && !tenant_mode &&
-        !config_.timing.pt_through_dcache && !tel_tail_) {
-        tape_store_ = tapes;
-        tape_key_ = cacheTapeKey(stream_key);
-        // A run that can be cancelled is watched, and sleeping on a
-        // sibling's claim would count against its deadline and stall
-        // window: it records unclaimed instead.
-        CacheTapeStore::Lease lease =
-            tapes->acquire(tape_key_, /*wait=*/!config_.cancel);
-        tape_replaying_ = std::move(lease.tape);
-        tape_claim = std::move(lease.claim);
-        if (tape_replaying_) {
-            // The key names the core count.
-            PCCSIM_ASSERT(tape_replaying_->cores.size() == cores_.size());
-            for (size_t c = 0; c < cores_.size(); ++c) {
-                const auto &segments = tape_replaying_->cores[c];
-                cores_[c].tape_next = segments.data();
-                cores_[c].tape_end = segments.data() + segments.size();
-            }
-        } else {
-            tape_recording_ = std::make_shared<CacheTape>();
-            tape_recording_->cores.resize(cores_.size());
-            for (size_t c = 0; c < cores_.size(); ++c)
-                cores_[c].tape_out = &tape_recording_->cores[c];
-        }
-    }
+        ++job_live_[lane.job];
+    live_lanes_ = static_cast<u32>(lanes_.size());
 
     // ---- main scheduling loop ----
-    {
-        const u64 now = util::HostProfile::nowNanos();
-        util::HostProfile::global().add("workload_setup",
-                                        now - phase_t0);
-        phase_t0 = now;
+    util::HostProfile::global().add(
+        "workload_setup", util::HostProfile::nowNanos() - phase_t0);
+    if (tapes)
+        tape_.open(*tapes, stream_key, config_); // books tape_wait
+    phase_t0 = util::HostProfile::nowNanos();
+    try {
+        if (config_.batch_engine)
+            runBatchLoop();
+        else
+            runScalarLoop();
+    } catch (...) {
+        tape_.abandon(); // frees a recording claim for a waiting sibling
+        throw;
     }
-    if (config_.batch_engine)
-        runBatchLoop(job_wall, job_live, total_lanes);
-    else
-        runScalarLoop(job_wall, job_live, total_lanes);
 
     // ---- collect results ----
     util::HostProfile::global().add(
         "simulate", util::HostProfile::nowNanos() - phase_t0);
-    if (tape_replaying_) {
-        for (const CoreState &core : cores_) {
-            if (core.tape_next != core.tape_end)
-                tapeMismatch(core, "the run ends before its tape");
-        }
-        tape_store_->noteReplay();
-    } else if (tape_recording_) {
-        for (CoreState &core : cores_) {
-            core.tape_out->shrink_to_fit();
-            core.tape_out = nullptr;
-        }
-        tape_store_->publish(tape_key_, std::move(tape_recording_),
-                             std::move(tape_claim));
-    }
+    tape_.finish(total_accesses_);
     if (config_.check_invariants)
         runInvariantChecks(); // final sweep over the end state
     if (oracle_) {
         // Counter audit: catches any divergence a sampled compare
         // skipped (the reference state drifts from the real state at
         // the first divergence, so the totals disagree).
-        for (u32 c = 0; c < config_.num_cores; ++c) {
-            const auto &t = cores_[c].tlb;
-            oracle_->finish(c, t.accesses(), t.l1Hits(), t.l2Hits(),
-                            t.walks());
-        }
+        for (u32 c = 0; c < config_.num_cores; ++c)
+            oracle_->finish(c, cores_[c].counters());
     }
 
     RunResult result;
@@ -1746,44 +1187,21 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
     res.first_invariant_failure = first_invariant_failure_;
 
     if (config_.sampling.enabled())
-        result.sampling = sampleStats();
+        result.sampling = sampler_.stats();
 
     for (u32 j = 0; j < jobs.size(); ++j) {
         JobResult job_result;
         job_result.workload = jobs[j].workload->name();
         job_result.pid = procs[j]->pid();
-        job_result.wall_cycles = job_wall[j];
-        u64 refs = 0;
-        if (tsched_) {
-            // Shared cores: the per-turn tallies are the only per-job
-            // attribution of the hardware counters.
-            const JobTally &tally = job_tally_[j];
-            job_result.accesses = tally.accesses;
-            job_result.tlb_accesses = tally.tlb_accesses;
-            job_result.l1_hits = tally.l1_hits;
-            job_result.l2_hits = tally.l2_hits;
-            job_result.walks = tally.walks;
-            job_result.faults = tally.faults;
-            refs = tally.walker_refs;
-        } else {
-            for (const auto &lane : lanes_) {
-                if (lane.job != j)
-                    continue;
-                const CoreState &core = cores_[lane.core];
-                job_result.accesses += core.accesses;
-                job_result.tlb_accesses += core.tlb.accesses();
-                job_result.l1_hits += core.tlb.l1Hits();
-                job_result.l2_hits += core.tlb.l2Hits();
-                job_result.walks += core.tlb.walks();
-                job_result.faults += core.faults;
-                refs += core.walker.totalRefs();
-            }
-        }
-        job_result.refs_per_walk =
-            job_result.walks == 0
-                ? 0.0
-                : static_cast<double>(refs) /
-                      static_cast<double>(job_result.walks);
+        job_result.wall_cycles = job_wall_[j];
+        const CoreCounters &counted = job_counters_[j];
+        job_result.accesses = counted.accesses;
+        job_result.tlb_accesses = counted.tlb_accesses;
+        job_result.l1_hits = counted.l1_hits;
+        job_result.l2_hits = counted.l2_hits;
+        job_result.walks = counted.walks;
+        job_result.faults = counted.faults;
+        job_result.refs_per_walk = ratio(counted.walker_refs, counted.walks);
         job_result.promotions = procs[j]->promotions();
         job_result.promotions_1g = procs[j]->promotions1G();
         job_result.demotions = procs[j]->demotions();
@@ -1792,30 +1210,11 @@ System::run(std::vector<Job> jobs, CacheTapeStore *tapes,
         job_result.bloat_pages = procs[j]->bloatPages();
         result.jobs.push_back(std::move(job_result));
         result.wall_cycles =
-            std::max(result.wall_cycles, job_wall[j]);
+            std::max(result.wall_cycles, job_wall_[j]);
     }
 
-    if (tel_sampler_) {
-        auto report = std::make_shared<telemetry::TelemetryReport>();
-        report->intervals = intervals_;
-        report->counters = tel_registry_->readAll();
-        report->series = tel_sampler_->takeSeries();
-        if (tel_tracer_) {
-            report->events_dropped = tel_tracer_->dropped();
-            report->events = tel_tracer_->takeEvents();
-        }
-        if (tel_profiler_)
-            report->attribution = tel_profiler_->report();
-        if (tel_audit_)
-            report->audit = tel_audit_->report();
-        if (tel_tail_) {
-            report->tail = tel_tail_->report();
-            // Link every worst-K exemplar to the latest promotion
-            // decision about its region (no-op without --audit).
-            telemetry::annotateExemplars(report->tail, report->audit);
-        }
-        result.telemetry = std::move(report);
-    }
+    if (telemetry_)
+        result.telemetry = telemetry_->report(intervals_);
     return result;
 }
 

@@ -10,7 +10,10 @@
  * which point every parked core's clock advances to the job-wide
  * maximum (modelling barrier wait) and lanes resume starting from the
  * job's first lane (so lane-0 post-barrier bookkeeping runs before any
- * other lane observes shared state).
+ * other lane observes shared state). Every lane turn banks its core's
+ * counter delta into its job. Three parts sit behind modules of their
+ * own: the tape session (sim/cache_tape.hpp), the sampler
+ * (sim/sampling.hpp) and the run's telemetry (sim/run_telemetry.hpp).
  */
 
 #pragma once
@@ -26,8 +29,11 @@
 #include "pt/walker.hpp"
 #include "sim/cache_tape.hpp"
 #include "sim/config.hpp"
+#include "sim/core_counters.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/results.hpp"
+#include "sim/run_telemetry.hpp"
+#include "sim/sampling.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/registry.hpp"
@@ -84,9 +90,12 @@ class System : public os::PolicyContext
     void chargeCore(CoreId core, Cycles cycles) override;
     u64 intervalIndex() const override { return intervals_; }
     u64 accessesSoFar() const override { return total_accesses_; }
-    telemetry::PromotionAuditLog *audit() override { return tel_audit_.get(); }
+    telemetry::PromotionAuditLog *
+    audit() override
+    {
+        return telemetry_ ? telemetry_->audit() : nullptr;
+    }
 
-    const SystemConfig &config() const { return config_; }
     mem::PhysicalMemory *phys() { return phys_.get(); }
 
     /** Promotions recorded during run() when record_trace is set. */
@@ -106,17 +115,10 @@ class System : public os::PolicyContext
         pcc::PccUnit pcc;
         cache::CacheHierarchy dcache;
         Cycles cycles = 0;
-        /** Tape this core records into, or replays from. */
-        std::vector<CacheTapeSegment> *tape_out = nullptr;
-        const CacheTapeSegment *tape_next = nullptr;
-        const CacheTapeSegment *tape_end = nullptr;
-        /** Cycles spent in page-table walks (sampling window stats). */
-        Cycles walk_cycles = 0;
+        Cycles walk_cycles = 0; //!< cycles spent in page-table walks
         u64 accesses = 0;
         u64 faults = 0;
-        Pid pid = 0;
-        u32 job = 0;
-        u32 lane = 0;
+        u32 job = 0; //!< the job whose lane runs here now
 
         /**
          * Last-translated page on this core: [base, base + bytes).
@@ -132,6 +134,19 @@ class System : public os::PolicyContext
         {
             last_page_base = mem::pageBase(vaddr, size);
             last_page_bytes = mem::bytesOf(size);
+        }
+
+        CoreCounters
+        counters() const
+        {
+            return {.accesses = accesses,
+                    .tlb_accesses = tlb.accesses(),
+                    .l1_hits = tlb.l1Hits(),
+                    .l2_hits = tlb.l2Hits(),
+                    .walks = tlb.walks(),
+                    .faults = faults,
+                    .walker_refs = walker.totalRefs(),
+                    .walk_cycles = walk_cycles};
         }
     };
 
@@ -161,41 +176,6 @@ class System : public os::PolicyContext
     };
 
     /**
-     * Per-job hardware counters in tenant mode. Cores are shared, so
-     * the cumulative per-core counters mix tenants; instead each lane
-     * turn snapshots its core's counters before and after and banks
-     * the delta against the job that ran. In a 1-tenant run the core
-     * is never shared and the tallies equal the per-core totals, which
-     * is what keeps tenant-mode results bit-identical to the legacy
-     * single-process path.
-     */
-    struct JobTally
-    {
-        u64 accesses = 0;
-        u64 tlb_accesses = 0;
-        u64 l1_hits = 0;
-        u64 l2_hits = 0;
-        u64 walks = 0;
-        u64 faults = 0;
-        u64 walker_refs = 0;
-    };
-
-    /**
-     * Scheduling phase of a sampled run. Each detailed window is
-     * split SMARTS-style: a warming half rebuilds the TLB/cache state
-     * the fast-forward phase left stale (detailed simulation, not
-     * measured), then the measured half feeds the estimators. Without
-     * the warm-up every window opens on a cold TLB and the miss-rate
-     * estimate inherits a systematic upward bias.
-     */
-    enum class SamplePhase : u8
-    {
-        Warming = 0,
-        Measuring = 1,
-        FastForward = 2,
-    };
-
-    /**
      * One access's cycle cost, split: the data cache's share joins the
      * core's open segment and reaches the clock at its end.
      */
@@ -204,6 +184,12 @@ class System : public os::PolicyContext
         Cycles core = 0; //!< everything but the data-cache probe
         Cycles data = 0; //!< the data-cache probe (0 when replaying)
     };
+
+    u32
+    indexOf(const CoreState &core) const
+    {
+        return static_cast<u32>(&core - cores_.data());
+    }
 
     /** Simulate one access on a core. */
     AccessCost doAccess(CoreState &core, os::Process &proc, Addr vaddr,
@@ -216,27 +202,17 @@ class System : public os::PolicyContext
     Cycles
     touchData(CoreState &core, Addr vaddr)
     {
-        return tape_replaying_ ? 0 : core.dcache.access(vaddr);
+        return tape_.replaying() ? 0 : core.dcache.access(vaddr);
     }
 
-    /**
-     * Close the core's open segment, the `length` detailed accesses
-     * at `addrs` whose data-cache probes cost `data` cycles: record
-     * it to, or check it against and take its cycles from, the tape,
-     * then add the segment's data-cache cycles to the core clock.
-     * Called at the end of every chunk (the scalar engine: every
-     * access) and before onInterval, so every reader of a core clock
-     * sees it exact.
-     */
-    void endSegment(CoreState &core, Cycles data, const Addr *addrs,
-                    u32 length);
-
-    /** Drop the replayed tape from its store and throw. */
-    [[noreturn]] void tapeMismatch(const CoreState &core,
-                                   const std::string &what);
-
-    /** Store key of this run's tape: stream + final cache config. */
-    std::string cacheTapeKey(const std::string &stream_key) const;
+    /** Close the core's open segment, adding its data-cache cycles to
+        the clock: at every chunk's end and before onInterval. */
+    void
+    endSegment(CoreState &core, Cycles data, const Addr *addrs, u32 length)
+    {
+        core.cycles += tape_.endSegment(indexOf(core), data, addrs, length,
+                                        total_accesses_);
+    }
 
     /**
      * Fast-forward one access: page tables, access bits, and (rate-
@@ -246,33 +222,29 @@ class System : public os::PolicyContext
      */
     void doFastForward(CoreState &core, os::Process &proc, Addr vaddr);
 
+    /** Run lane turns, `turn(lane, core, proc)`, until all finish. */
+    template <typename Turn> void scheduleLanes(Turn &&turn);
+
     /** The per-op scheduling loop over Workload::lane() adapters. */
-    void runScalarLoop(std::vector<Cycles> &job_wall,
-                       std::vector<u32> &job_live, u32 total_lanes);
+    void runScalarLoop();
 
     /** The batch-buffer scheduling loop (with optional sampling). */
-    void runBatchLoop(std::vector<Cycles> &job_wall,
-                      std::vector<u32> &job_live, u32 total_lanes);
+    void runBatchLoop();
+
+    /** A lane ran dry: retire it, and its job when it was the last. */
+    void finishLane(LaneState &lane);
+
+    /** A job's wall clock so far: the latest clock of its cores. */
+    Cycles jobWall(u32 job) const;
+
+    /** Every core's counters, summed. */
+    CoreCounters machineCounters() const;
+
+    /** Hand the sampler the totals at a phase boundary. */
+    void advanceSampling();
 
     /** Fire the interval machinery (policy, shocks, telemetry). */
-    void onInterval(u32 total_lanes);
-
-    /** Open a detailed window, starting with its warming half. */
-    void beginSampleWindow();
-
-    /** End of warm-up: snapshot the counters the window will delta. */
-    void beginMeasurement();
-
-    /** Close a completed detailed window and start fast-forwarding. */
-    void closeSampleWindow();
-
-    /** Compute RunResult::sampling from the accumulated windows. */
-    SamplingStats sampleStats() const;
-
-    u64 sumWalks() const;
-    u64 sumWalkCycles() const;
-    u64 sumTlbAccesses() const;
-    u64 sumCycles() const;
+    void onInterval();
 
     /** Charge page-table fetches of a walk through the data cache. */
     Cycles chargeWalkRefs(CoreState &core, const os::Process &proc,
@@ -294,25 +266,6 @@ class System : public os::PolicyContext
     void installFaultInjection();
     void installReclaimRanker();
 
-    /**
-     * Build the telemetry registry/sampler/tracer for this run (no-op
-     * when config_.telemetry.enabled is false — every later telemetry
-     * touch point is then a single null-pointer test).
-     */
-    void setupTelemetry(size_t num_jobs);
-
-    /** Take one interval sample (churn, series, interval marker). */
-    void sampleTelemetryInterval();
-
-    /**
-     * Record one detailed access into the tail recorder (call sites
-     * guard on tel_tail_). Fast-forwarded accesses are never recorded:
-     * they carry a synthetic mean charge, not a latency.
-     */
-    void recordTail(const CoreState &core, const os::Process &proc,
-                    Addr vaddr, telemetry::TailOutcome outcome,
-                    Cycles cost, Cycles walk_cost, Cycles stall_cost);
-
     /** One invariant sweep across all layers (config_.check_invariants). */
     void runInvariantChecks();
 
@@ -331,7 +284,15 @@ class System : public os::PolicyContext
     /** Tenant mode only (null otherwise): the contention scheduler. */
     std::unique_ptr<tenant::Scheduler> tsched_;
     std::vector<os::Process *> job_process_; //!< job -> its process
-    std::vector<JobTally> job_tally_;        //!< tenant-mode job stats
+    /** Per job: the core counter deltas its lane turns banked. */
+    std::vector<CoreCounters> job_counters_;
+    std::vector<u32> job_live_;    //!< per job: lanes still running
+    std::vector<Cycles> job_wall_; //!< per job: clock when it finished
+    u32 live_lanes_ = 0;
+    /** Ops a lane runs per turn before the scheduler rotates. */
+    u32 quantum_ = 0;
+    /** Accesses between policy intervals (interval_accesses per lane). */
+    u64 interval_stride_ = 0;
     u64 total_accesses_ = 0;
     u64 next_interval_at_ = 0;
     u64 intervals_ = 0;
@@ -342,50 +303,10 @@ class System : public os::PolicyContext
     std::string first_invariant_failure_;
     os::PromotionTrace recorded_;
 
-    // ---- data-cache tape (sim/cache_tape.hpp) ----
-    /** log2 of the smallest cache line: the fingerprint's granule. */
-    u32 line_shift_ = 0;
-    CacheTapeStore *tape_store_ = nullptr;
-    std::string tape_key_;
-    std::shared_ptr<CacheTape> tape_recording_;
-    std::shared_ptr<const CacheTape> tape_replaying_;
-
-    // ---- sampling state (meaningful only when config_.sampling) ----
-    SamplePhase sample_phase_ = SamplePhase::Warming;
-    u64 phase_left_ = 0;       //!< accesses remaining in current phase
-    u64 win_measured_ = 0;     //!< measured accesses per window (W -
-                               //!< warm-up; W/2 rounded up)
-    u64 win_start_walks_ = 0;  //!< snapshots at measurement start
-    u64 win_start_walk_cycles_ = 0;
-    u64 win_start_tlb_accesses_ = 0;
-    u64 win_start_cycles_ = 0;
-    std::vector<double> win_miss_rates_; //!< per-window miss rate (%)
-    std::vector<double> win_walk_cycles_; //!< per-window cycles/access
-    u64 detailed_total_ = 0;   //!< accesses simulated in detail
-    u64 ff_total_ = 0;         //!< accesses fast-forwarded
-    Cycles ff_charge_ = 0;     //!< cycles charged per FF access
-    /** Bresenham-thinned PCC touch rate: num/den walks per access,
-        carried from the last completed detailed window. */
-    u64 pcc_rate_num_ = 0;
-    u64 pcc_rate_den_ = 1;
-    u64 pcc_rate_acc_ = 0;
-
-    // ---- telemetry (all null/empty unless config_.telemetry.enabled) ----
-    std::unique_ptr<telemetry::Registry> tel_registry_;
-    std::unique_ptr<telemetry::IntervalSampler> tel_sampler_;
-    std::unique_ptr<telemetry::EventTracer> tel_tracer_;
-    std::unique_ptr<telemetry::RegionProfiler> tel_profiler_;
-    std::unique_ptr<telemetry::PromotionAuditLog> tel_audit_;
-    telemetry::TopKChurnTracker tel_churn_;
-    telemetry::Registry::Handle tel_churn_counter_;
-    /** Tail histograms + exemplars (telemetry.histograms only). */
-    std::unique_ptr<telemetry::TailRecorder> tel_tail_;
-    /** Windowed quantile counters fed to the interval sampler. */
-    telemetry::Registry::Handle tel_tail_p50_;
-    telemetry::Registry::Handle tel_tail_p90_;
-    telemetry::Registry::Handle tel_tail_p99_;
-    telemetry::Registry::Handle tel_tail_p999_;
-    telemetry::Registry::Handle tel_tail_max_;
+    CacheTapeSession tape_;
+    SampleController sampler_; //!< meaningful only when sampling
+    /** Null unless config_.telemetry.enabled. */
+    std::unique_ptr<RunTelemetry> telemetry_;
 };
 
 std::string to_string(PolicyKind kind);

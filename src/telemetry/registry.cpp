@@ -1,75 +1,33 @@
 #include "telemetry/registry.hpp"
 
-#include "util/log.hpp"
-
 namespace pccsim::telemetry {
-
-Registry::Handle
-Registry::counter(const std::string &name)
-{
-    PCCSIM_ASSERT(probes_.find(name) == probes_.end(),
-                  "counter name already registered as a probe");
-    auto it = slots_by_name_.find(name);
-    if (it != slots_by_name_.end())
-        return Handle(it->second);
-    slots_.push_back(0);
-    u64 *slot = &slots_.back();
-    slots_by_name_.emplace(name, slot);
-    return Handle(slot);
-}
 
 void
 Registry::probe(const std::string &name, std::function<u64()> read)
 {
-    PCCSIM_ASSERT(slots_by_name_.find(name) == slots_by_name_.end(),
-                  "probe name already registered as a counter");
     probes_[name] = std::move(read);
 }
 
 u64
 Registry::read(const std::string &name) const
 {
-    if (auto it = slots_by_name_.find(name); it != slots_by_name_.end())
-        return *it->second;
-    if (auto it = probes_.find(name); it != probes_.end())
-        return it->second();
-    return 0;
+    const auto it = probes_.find(name);
+    return it == probes_.end() ? 0 : it->second();
 }
 
 bool
 Registry::has(const std::string &name) const
 {
-    return slots_by_name_.count(name) != 0 || probes_.count(name) != 0;
+    return probes_.count(name) != 0;
 }
 
 std::vector<std::pair<std::string, u64>>
 Registry::readAll() const
 {
-    // Both maps iterate sorted; merge keeps the global name order.
     std::vector<std::pair<std::string, u64>> out;
     out.reserve(size());
-    auto s = slots_by_name_.begin();
-    auto p = probes_.begin();
-    while (s != slots_by_name_.end() || p != probes_.end()) {
-        if (p == probes_.end() ||
-            (s != slots_by_name_.end() && s->first < p->first)) {
-            out.emplace_back(s->first, *s->second);
-            ++s;
-        } else {
-            out.emplace_back(p->first, p->second());
-            ++p;
-        }
-    }
-    return out;
-}
-
-std::vector<std::string>
-Registry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(size());
-    for (const auto &[name, value] : readAll())
-        out.push_back(name);
+    for (const auto &[name, read] : probes_)
+        out.emplace_back(name, read());
     return out;
 }
 

@@ -1,17 +1,10 @@
 /**
  * @file
- * Telemetry registry: named counters with near-zero-cost handles, and
- * computed probes for values that live elsewhere.
- *
- * Two kinds of sources coexist:
- *
- *  - owned counters: registered once, incremented through a Handle
- *    that is a bare pointer dereference on the hot path (the slot
- *    storage is a deque, so handles stay valid forever);
- *  - probes: read-on-demand callbacks for state another module already
- *    maintains (TLB hit counts, OS stat counters, per-core cycles).
- *    Probes keep instrumentation free when telemetry is disabled: the
- *    owning module pays nothing until someone reads.
+ * Telemetry registry: named probes, read-on-demand callbacks over state
+ * another module already maintains (TLB hit counts, OS stat counters,
+ * per-core cycles, a telemetry object's own totals). Probes keep
+ * instrumentation free when telemetry is disabled: the owning module
+ * pays nothing until someone reads.
  *
  * The interval sampler (series.hpp) reads the registry once per policy
  * interval and turns cumulative sources into per-interval deltas.
@@ -19,7 +12,6 @@
 
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -32,39 +24,11 @@ namespace pccsim::telemetry {
 class Registry
 {
   public:
-    /** Hot-path handle to an owned counter: one pointer indirection. */
-    class Handle
-    {
-      public:
-        Handle() = default;
-
-        void operator++() { ++*slot_; }
-        void operator++(int) { ++*slot_; }
-        void operator+=(u64 delta) { *slot_ += delta; }
-        void set(u64 value) { *slot_ = value; }
-        u64 value() const { return *slot_; }
-        bool valid() const { return slot_ != nullptr; }
-
-      private:
-        friend class Registry;
-        explicit Handle(u64 *slot) : slot_(slot) {}
-        u64 *slot_ = nullptr;
-    };
-
     Registry() = default;
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /**
-     * Register (or fetch) an owned counter. Handles remain valid for
-     * the registry's lifetime regardless of later registrations.
-     */
-    Handle counter(const std::string &name);
-
-    /**
-     * Register a computed probe. Re-registering a name replaces its
-     * callback; a probe may not shadow an owned counter.
-     */
+    /** Register a probe; re-registering a name replaces its callback. */
     void probe(const std::string &name, std::function<u64()> read);
 
     /** Read one source; 0 for names never registered. */
@@ -75,14 +39,9 @@ class Registry
     /** Every source as (name, current value), sorted by name. */
     std::vector<std::pair<std::string, u64>> readAll() const;
 
-    /** Names of all sources, sorted. */
-    std::vector<std::string> names() const;
-
-    size_t size() const { return slots_by_name_.size() + probes_.size(); }
+    size_t size() const { return probes_.size(); }
 
   private:
-    std::deque<u64> slots_; //!< deque: stable addresses across growth
-    std::map<std::string, u64 *> slots_by_name_;
     std::map<std::string, std::function<u64()>> probes_;
 };
 

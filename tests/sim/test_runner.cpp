@@ -345,6 +345,33 @@ TEST(Runner, JournalPersistsAndResumes)
     std::remove(path.c_str());
 }
 
+TEST(Runner, JournalWarnsOnceWhenItSkipsTelemetryResults)
+{
+    const std::string path = journalPath("skips");
+    RunnerOptions options;
+    options.jobs = 1;
+    options.journal_path = path;
+    Runner runner(options);
+    std::vector<ExperimentSpec> specs;
+    for (const PolicyKind policy : {PolicyKind::Base, PolicyKind::Pcc}) {
+        ExperimentSpec spec = ciSpec("bfs", policy);
+        spec.telemetry.enabled = true;
+        specs.push_back(spec);
+    }
+    ::testing::internal::CaptureStderr();
+    runner.runMany(specs);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(runner.stats().journal_appends, 0u);
+    EXPECT_EQ(runner.stats().journal_skipped, 2u);
+    size_t warnings = 0;
+    for (size_t at = err.find("not journaled"); at != std::string::npos;
+         at = err.find("not journaled", at + 1)) {
+        ++warnings;
+    }
+    EXPECT_EQ(warnings, 1u) << err;
+    std::remove(path.c_str());
+}
+
 TEST(Runner, JournalToleratesTruncatedTail)
 {
     // A crash mid-append leaves a partial last line; the loader must

@@ -11,25 +11,6 @@ using namespace pccsim::telemetry;
 
 // ---------------------------------------------------------------- Registry
 
-TEST(Registry, CounterHandlesShareSlotsAndStayValid)
-{
-    Registry reg;
-    Registry::Handle a = reg.counter("promotions");
-    ++a;
-    // Registering many more counters must not move the first slot
-    // (the storage is a deque, not a vector).
-    std::vector<Registry::Handle> extra;
-    for (int i = 0; i < 200; ++i)
-        extra.push_back(reg.counter("x" + std::to_string(i)));
-    a += 4;
-    EXPECT_EQ(reg.read("promotions"), 5u);
-
-    // A second fetch of the same name aliases the same slot.
-    Registry::Handle b = reg.counter("promotions");
-    ++b;
-    EXPECT_EQ(a.value(), 6u);
-}
-
 TEST(Registry, ProbesReadOnDemand)
 {
     Registry reg;
@@ -47,16 +28,16 @@ TEST(Registry, UnknownNamesReadZero)
     EXPECT_FALSE(reg.has("never-registered"));
 }
 
-TEST(Registry, ReadAllMergesCountersAndProbesSorted)
+TEST(Registry, ReadAllSortsByName)
 {
     Registry reg;
-    reg.counter("b_counter") += 2;
-    reg.probe("a_probe", [] { return u64{1}; });
     reg.probe("c_probe", [] { return u64{3}; });
+    reg.probe("a_probe", [] { return u64{1}; });
+    reg.probe("b_probe", [] { return u64{2}; });
     const auto all = reg.readAll();
     ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all[0], (std::pair<std::string, u64>{"a_probe", 1}));
-    EXPECT_EQ(all[1], (std::pair<std::string, u64>{"b_counter", 2}));
+    EXPECT_EQ(all[1], (std::pair<std::string, u64>{"b_probe", 2}));
     EXPECT_EQ(all[2], (std::pair<std::string, u64>{"c_probe", 3}));
 }
 
